@@ -32,7 +32,13 @@ kind a reviewer has to re-derive on every PR:
     kernel entry points (``map_user_kiobuf``, ``do_mlock`` …), never by
     poking page descriptors or page tables directly.  The historical
     backends the paper critiques do exactly that — on purpose — and
-    carry ``allow(kernel-mutation)`` pragmas saying so.
+    carry ``allow(kernel-mutation)`` pragmas saying so.  Anywhere in
+    ``src/``, a subscript write into a frame-table column (``counts``,
+    ``pin_counts``, ``flags``, ``tags``, ``mappings``) outside
+    ``repro/kernel/page.py``, or into ``PageTable._entries`` outside
+    ``repro/kernel/pagetable.py``, is flagged too: such a write skips
+    the mutators that bump the machine's state sequence number, so the
+    stamped watchdog and reaper would never see it.
 
 ``faultplan-validation``
     Every public knob of :class:`~repro.sim.faults.FaultPlan` must be
@@ -76,7 +82,8 @@ RULES: dict[str, str] = {
     "obs-unguarded":
         "metrics-registry access outside an `if ....enabled:` guard",
     "kernel-mutation":
-        "kernel page state mutated above the kernel layer",
+        "kernel page state mutated above the kernel layer or past its "
+        "stamped mutators",
     "faultplan-validation":
         "FaultPlan knob not validated in __post_init__",
     "clock-subscribe":
@@ -116,6 +123,16 @@ _KERNEL_STATE_ATTRS = frozenset({
 _KERNEL_MUTATOR_METHODS = frozenset({
     "pin", "unpin", "get_page", "put_page", "set_flag", "clear_flag",
 })
+#: Sequence-stamped containers → the one module that may subscript-write
+#: into them (everyone else goes through its mutators).
+_STAMPED_COLUMN_OWNERS = {
+    "counts": "repro/kernel/page.py",
+    "pin_counts": "repro/kernel/page.py",
+    "flags": "repro/kernel/page.py",
+    "tags": "repro/kernel/page.py",
+    "mappings": "repro/kernel/page.py",
+    "_entries": "repro/kernel/pagetable.py",
+}
 
 #: The observability implementation itself (guards internally).
 _OBS_EXEMPT_PREFIX = "repro/obs/"
@@ -241,9 +258,10 @@ class Linter:
         if "obs-unguarded" in self.rules \
                 and not rel.startswith(_OBS_EXEMPT_PREFIX):
             findings += self._check_obs_unguarded(tree, path)
-        if "kernel-mutation" in self.rules \
-                and rel.startswith(_ABOVE_KERNEL_LAYERS):
-            findings += self._check_kernel_mutation(tree, path)
+        if "kernel-mutation" in self.rules:
+            if rel.startswith(_ABOVE_KERNEL_LAYERS):
+                findings += self._check_kernel_mutation(tree, path)
+            findings += self._check_column_writes(tree, path, rel)
         if "faultplan-validation" in self.rules:
             findings += self._check_faultplan(tree, path)
         if "clock-subscribe" in self.rules \
@@ -462,6 +480,36 @@ class Linter:
                     f"direct call to kernel mutator "
                     f"`.{node.func.attr}()`; go through an audited "
                     f"kernel entry point"))
+        return findings
+
+    @staticmethod
+    def _check_column_writes(tree: ast.AST, path: str,
+                             rel: str) -> list[LintFinding]:
+        findings = []
+        for node in ast.walk(tree):
+            targets: list[ast.expr] = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                if not (isinstance(target, ast.Subscript)
+                        and isinstance(target.value, ast.Attribute)):
+                    continue
+                column = target.value
+                owner = _STAMPED_COLUMN_OWNERS.get(column.attr)
+                # ``self.<column>[...]`` is an object's own container
+                # (a histogram's ``counts``), not a frame-table column.
+                if owner is None or rel.endswith(owner) or (
+                        isinstance(column.value, ast.Name)
+                        and column.value.id == "self"):
+                    continue
+                findings.append(LintFinding(
+                    path, target.lineno, target.col_offset,
+                    "kernel-mutation",
+                    f"subscript write into `.{column.attr}[...]` outside "
+                    f"{owner}; use its mutators so the state sequence "
+                    f"number moves"))
         return findings
 
     @staticmethod

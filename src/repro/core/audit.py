@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import (
     InvalidArgument, InvariantViolation, PageAccountingError,
@@ -80,6 +80,33 @@ class LeakedPin:
     expected: int
 
 
+def expected_pins(kernel: "Kernel", agents: "Iterable[KernelAgent]",
+                  count_kiobufs: bool = True) -> Counter[int]:
+    """Pins per frame that live state explains: one per page of every
+    registration recorded in ``agents``, plus (``count_kiobufs``) one
+    per page of every mapped kiobuf.  A frame absent from the tally is
+    explained by nothing.  The one tally the pin-leak audit and the
+    reaper's orphan and unexplained-pin scans all judge against."""
+    expected: Counter[int] = Counter()
+    for agent in agents:
+        for reg in agent.registrations.values():
+            expected.update(reg.region.frames)
+    if count_kiobufs:
+        for kio in kernel.kiobufs.values():
+            if kio.mapped:
+                expected.update(kio.frames)
+    return expected
+
+
+def state_stamp(kernel: "Kernel", agents: "Iterable[KernelAgent]"
+                ) -> tuple[int, ...]:
+    """The state sequence numbers an audit of ``(kernel, agents)``
+    depends on (see :mod:`repro.kernel.stateseq`).  Equal stamps mean
+    no mutator of the audited state ran in between."""
+    return (kernel.state_seq.value,
+            *(agent.kernel.state_seq.value for agent in agents))
+
+
 def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
                     count_kiobufs: bool = False,
                     full_scan: bool = False) -> list[LeakedPin]:
@@ -106,16 +133,7 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
     O(pinned + registered), not O(frames); ``full_scan=True`` keeps the
     legacy whole-table walk for the E18 before/after arms.
     """
-    expected: Counter[int] = Counter()
-    for agent in agents:
-        for reg in agent.registrations.values():
-            for frame in reg.region.frames:
-                expected[frame] += 1
-    if count_kiobufs:
-        for kio in kernel.kiobufs.values():
-            if kio.mapped:
-                for frame in kio.frames:
-                    expected[frame] += 1
+    expected = expected_pins(kernel, agents, count_kiobufs=count_kiobufs)
     leaks: list[LeakedPin] = []
     if full_scan:
         for pd in kernel.pagemap:
@@ -155,8 +173,9 @@ def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
 
     slot_owner: dict[int, tuple[int, int]] = {}
     for task in kernel.tasks:
-        for vpn in sorted(task.page_table._entries):
-            pte = task.page_table.lookup(vpn)
+        page_table = task.page_table
+        for vpn in page_table.vpns():
+            pte = page_table.lookup(vpn)
             if pte.present:
                 pd = kernel.pagemap.page(pte.frame)
                 if pd.count < 1:
@@ -213,6 +232,13 @@ class InvariantWatchdog:
     Cadence catch-up follows the calendar's fire-once semantics: a
     charge that jumps several intervals yields one sample, and the next
     deadline realigns from the current time.
+
+    Samples are sequence-stamped: the watchdog remembers, per armed
+    pair, the :func:`state_stamp` of its last *clean* check, and a
+    sample that finds the stamp unchanged counts as a check but skips
+    the walks — nothing they read has been mutated, so they would
+    re-prove the same verdict.  A check that raised records no stamp,
+    and ``full_scan=True`` never skips.
     """
 
     def __init__(self, *, interval_ns: int = 1_000_000,
@@ -232,6 +258,8 @@ class InvariantWatchdog:
         self.violations = 0
         self.armed = False
         self._pairs: list[tuple] = []     #: (kernel, [agents])
+        #: pair index → stamp of its last clean check
+        self._clean: dict[int, tuple] = {}
         self._next_due_ns = 0
         self._in_check = False
         self._teardowns: list[tuple] = []  #: (hook_list, hook) to undo
@@ -288,7 +316,8 @@ class InvariantWatchdog:
         self._cadences.append(cell)
 
     def disarm(self) -> None:
-        """Stop all sampling."""
+        """Stop all sampling and forget the armed pairs (a later
+        :meth:`arm` starts afresh)."""
         for unsubscribe in self._unsubscribes:
             unsubscribe()
         self._unsubscribes.clear()
@@ -300,6 +329,8 @@ class InvariantWatchdog:
             if hook in hook_list:
                 hook_list.remove(hook)
         self._teardowns.clear()
+        self._pairs.clear()
+        self._clean.clear()
         self.armed = False
 
     def _make_teardown_hook(self):
@@ -321,13 +352,20 @@ class InvariantWatchdog:
             return
         self._in_check = True
         try:
-            for kernel, agents in self._pairs:
-                self._check_one(kernel, agents, boundary)
+            for index, (kernel, agents) in enumerate(self._pairs):
+                self._check_one(index, kernel, agents, boundary)
         finally:
             self._in_check = False
 
-    def _check_one(self, kernel, agents, boundary: str) -> None:
+    def _check_one(self, index: int, kernel, agents,
+                   boundary: str) -> None:
         self.checks_run += 1
+        stamp = None
+        if not self.full_scan:
+            stamp = (self.check_kernel, self.check_tpt, self.check_pins,
+                     *state_stamp(kernel, agents))
+            if self._clean.get(index) == stamp:
+                return
         if self.check_kernel:
             try:
                 audit_kernel_invariants(kernel, full_scan=self.full_scan)
@@ -352,6 +390,8 @@ class InvariantWatchdog:
                     "pin_leak", kernel, boundary,
                     f"{len(leaks)} leaked pins",
                     leaks=[asdict(leak) for leak in leaks])
+        if stamp is not None:
+            self._clean[index] = stamp
 
     def _violation(self, kind: str, kernel, boundary: str,
                    detail: str, **extra) -> InvariantViolation:

@@ -28,6 +28,7 @@ from repro.kernel.mlock import (
 )
 from repro.kernel.page import PageDescriptor
 from repro.kernel.pagemap import PageMap
+from repro.kernel.stateseq import StateSeq
 from repro.kernel.task import Task
 from repro.kernel.vma import VMArea
 from repro.obs import Observability
@@ -75,14 +76,20 @@ class Kernel:
         #: kernel-internal crash points (kiobuf pinning) consult it
         self.fault_plan: object | None = None
         self.rng = make_rng(seed)
+        #: the audited-state sequence number every mutator of state the
+        #: watchdog or the reaper reads bumps (see repro.kernel.stateseq)
+        self.state_seq = StateSeq()
         self.phys = PhysicalMemory(num_frames)
         self.swap = SwapDevice(swap_slots, self.clock, self.costs)
         self.pagemap = PageMap(num_frames, self.clock, self.costs,
-                               self.trace, reserved_frames=reserved_frames)
+                               self.trace, reserved_frames=reserved_frames,
+                               seq=self.state_seq)
         self.dma = DMAEngine(self.phys, self.clock, self.costs, self.trace,
                              name="host-dma", obs=self.obs,
                              events=self.events)
-        self.tasks: list[Task] = []
+        #: the live tasks by pid, in creation order (O(1) lookup and
+        #: liveness: ``pid in kernel.tasks_by_pid``)
+        self.tasks_by_pid: dict[int, Task] = {}
         self.min_free_pages = min_free_pages
         #: simulated page/buffer cache: set of frames
         self.page_cache: set[int] = set()
@@ -112,19 +119,25 @@ class Kernel:
 
     # ------------------------------------------------------------------ tasks
 
+    @property
+    def tasks(self) -> list[Task]:
+        """The live tasks, in creation order (a fresh list)."""
+        return list(self.tasks_by_pid.values())
+
     def create_task(self, uid: int = 1000, name: str = "") -> Task:
         """Spawn a new task with an empty address space."""
         task = Task(self, self._next_pid, uid=uid, name=name)
         self._next_pid += 1
-        self.tasks.append(task)
+        self.tasks_by_pid[task.pid] = task
+        self.state_seq.bump()
         return task
 
     def find_task(self, pid: int) -> Task:
         """Look a task up by pid."""
-        for t in self.tasks:
-            if t.pid == pid:
-                return t
-        raise InvalidArgument(f"no task with pid {pid}")
+        task = self.tasks_by_pid.get(pid)
+        if task is None:
+            raise InvalidArgument(f"no task with pid {pid}")
+        return task
 
     def fork_task(self, parent: Task, name: str = "") -> Task:
         """``fork()``: clone the parent's address space copy-on-write.
@@ -146,7 +159,7 @@ class Kernel:
         for area in parent.vmas:
             child.vmas.insert(VMArea(area.start_vpn, area.end_vpn,
                                      area.flags, name=area.name))
-        for vpn in sorted(parent.page_table._entries):
+        for vpn in parent.page_table.vpns():
             pte = parent.page_table.lookup(vpn)
             if pte.swapped:
                 handle_fault(self, parent, vpn, write=False)
@@ -211,7 +224,8 @@ class Kernel:
             self.sys_munmap(task, area.start_vpn * PAGE_SIZE, area.npages,
                             notify=False)
         task.alive = False
-        self.tasks.remove(task)
+        del self.tasks_by_pid[task.pid]
+        self.state_seq.bump()
         self._swap_cnt.pop(task.pid, None)
         self._task_swap_hand.pop(task.pid, None)
         for hook in list(self.post_exit_hooks):

@@ -131,6 +131,7 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
                  va=va, nbytes=nbytes, frames=frames)
     kernel._next_kiobuf_id += 1
     kernel.kiobufs[kio.kiobuf_id] = kio
+    kernel.state_seq.bump()
     kernel.trace.emit("kiobuf_map", kiobuf=kio.kiobuf_id, pid=task.pid,
                       va=va, npages=len(frames))
     return kio
@@ -161,6 +162,7 @@ def unmap_kiobuf(kernel: "Kernel", kio: Kiobuf) -> None:
         kernel.pagemap.put_page(frame)
     kio.mapped = False
     kernel.kiobufs.pop(kio.kiobuf_id, None)
+    kernel.state_seq.bump()
     if kernel.events.active:
         kernel.events.emit(UNPIN, frames=tuple(kio.frames), pid=kio.pid)
     kernel.trace.emit("kiobuf_unmap", kiobuf=kio.kiobuf_id, pid=kio.pid,

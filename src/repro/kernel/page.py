@@ -32,6 +32,7 @@ from repro.kernel.flags import (
     PAGE_FLAG_NAMES, PG_LOCKED, PG_PAGECACHE, PG_REFERENCED, PG_RESERVED,
     describe_flags,
 )
+from repro.kernel.stateseq import StateSeq
 
 #: Debugging label under which paging strands Sec. 3.1 orphan frames.
 ORPHAN_TAG = "orphan"
@@ -54,14 +55,18 @@ class FrameTable:
 
     All writes must go through the mutator methods here or through a
     :class:`PageDescriptor` view (whose setters delegate), so the index
-    sets can never go stale.
+    sets can never go stale and the machine's state sequence number
+    (:attr:`seq`, see :mod:`repro.kernel.stateseq`) moves with every
+    change an audit could see.  repro-lint's ``kernel-mutation`` rule
+    flags raw column writes anywhere else in ``src/``.
     """
 
     __slots__ = ("num_frames", "counts", "flags", "pin_counts", "ages",
                  "cow_shares", "mappings", "tags", "pinned",
-                 "orphan_candidates")
+                 "orphan_candidates", "seq")
 
-    def __init__(self, num_frames: int) -> None:
+    def __init__(self, num_frames: int, seq: StateSeq | None = None
+                 ) -> None:
         zeros = bytes(8 * num_frames)
         self.num_frames = num_frames
         self.counts = array("q", zeros)
@@ -73,8 +78,57 @@ class FrameTable:
         self.tags: list[str] = [""] * num_frames
         self.pinned: set[int] = set()
         self.orphan_candidates: set[int] = set()
+        #: the machine's audited-state sequence number; every mutator
+        #: below bumps it (``ages`` excepted: no audit reads them)
+        self.seq = seq if seq is not None else StateSeq()
 
-    # -- mutators that keep the index sets honest -------------------------
+    # -- mutators that keep the index sets and the sequence honest --------
+
+    def set_count(self, frame: int, value: int) -> None:
+        """Set ``frame``'s reference count."""
+        self.counts[frame] = value
+        self.seq.bump()
+
+    def incr_count(self, frame: int) -> None:
+        """Take one reference on ``frame`` (``get_page``)."""
+        self.counts[frame] += 1
+        self.seq.bump()
+
+    def decr_count(self, frame: int) -> int:
+        """Drop one reference on ``frame``; underflow is an accounting
+        violation.  Returns the new count."""
+        if self.counts[frame] <= 0:
+            raise PageAccountingError(
+                f"refcount underflow on frame {frame}")
+        self.counts[frame] -= 1
+        self.seq.bump()
+        return self.counts[frame]
+
+    def set_flags(self, frame: int, value: int) -> None:
+        """Set ``frame``'s whole PG_* flag word."""
+        self.flags[frame] = value
+        self.seq.bump()
+
+    def set_flag_bits(self, frame: int, bits: int) -> None:
+        """Set PG_* flag bits on ``frame``."""
+        self.flags[frame] |= bits
+        self.seq.bump()
+
+    def clear_flag_bits(self, frame: int, bits: int) -> None:
+        """Clear PG_* flag bits on ``frame``."""
+        self.flags[frame] &= ~bits
+        self.seq.bump()
+
+    def set_mapping(self, frame: int,
+                    mapping: tuple[int, int] | None) -> None:
+        """Set ``frame``'s reverse-map hint."""
+        self.mappings[frame] = mapping
+        self.seq.bump()
+
+    def set_cow_shares(self, frame: int, value: int) -> None:
+        """Set ``frame``'s COW sharer count."""
+        self.cow_shares[frame] = value
+        self.seq.bump()
 
     def set_pin_count(self, frame: int, value: int) -> None:
         """Set ``frame``'s pin count, keeping the pinned set in step."""
@@ -83,11 +137,13 @@ class FrameTable:
             self.pinned.add(frame)
         else:
             self.pinned.discard(frame)
+        self.seq.bump()
 
     def incr_pin(self, frame: int) -> None:
         """Take one pin on ``frame`` (adds it to the pinned set)."""
         self.pin_counts[frame] += 1
         self.pinned.add(frame)
+        self.seq.bump()
 
     def decr_pin(self, frame: int) -> None:
         """Drop one pin on ``frame``; underflow is an accounting
@@ -98,6 +154,7 @@ class FrameTable:
         self.pin_counts[frame] -= 1
         if self.pin_counts[frame] == 0:
             self.pinned.discard(frame)
+        self.seq.bump()
 
     def set_tag(self, frame: int, tag: str) -> None:
         """Set ``frame``'s debugging label, keeping the orphan-candidate
@@ -107,6 +164,7 @@ class FrameTable:
             self.orphan_candidates.add(frame)
         else:
             self.orphan_candidates.discard(frame)
+        self.seq.bump()
 
     def reset_frame(self, frame: int, tag: str = "") -> None:
         """Alloc-time reset to a fresh single-reference state."""
@@ -183,7 +241,7 @@ class PageDescriptor:
 
     @count.setter
     def count(self, value: int) -> None:
-        self._table.counts[self._index] = value
+        self._table.set_count(self._index, value)
 
     @property
     def flags(self) -> int:
@@ -192,7 +250,7 @@ class PageDescriptor:
 
     @flags.setter
     def flags(self, value: int) -> None:
-        self._table.flags[self._index] = value
+        self._table.set_flags(self._index, value)
 
     @property
     def pin_count(self) -> int:
@@ -222,7 +280,7 @@ class PageDescriptor:
 
     @mapping.setter
     def mapping(self, value: tuple[int, int] | None) -> None:
-        self._table.mappings[self._index] = value
+        self._table.set_mapping(self._index, value)
 
     @property
     def cow_shares(self) -> int:
@@ -233,7 +291,7 @@ class PageDescriptor:
 
     @cow_shares.setter
     def cow_shares(self, value: int) -> None:
-        self._table.cow_shares[self._index] = value
+        self._table.set_cow_shares(self._index, value)
 
     @property
     def tag(self) -> str:
@@ -248,11 +306,11 @@ class PageDescriptor:
 
     def set_flag(self, bit: int) -> None:
         """Set a PG_* flag bit."""
-        self._table.flags[self._index] |= bit
+        self._table.set_flag_bits(self._index, bit)
 
     def clear_flag(self, bit: int) -> None:
         """Clear a PG_* flag bit."""
-        self._table.flags[self._index] &= ~bit
+        self._table.clear_flag_bits(self._index, bit)
 
     def test_flag(self, bit: int) -> bool:
         """True iff the PG_* flag bit is set."""
@@ -292,7 +350,7 @@ class PageDescriptor:
 
     def get(self) -> None:
         """``get_page`` — take a reference."""
-        self._table.counts[self._index] += 1
+        self._table.incr_count(self._index)
 
     def put(self) -> int:
         """``put_page``/``__free_page`` — drop a reference; returns the
@@ -301,8 +359,7 @@ class PageDescriptor:
         if self._table.counts[idx] <= 0:
             raise PageAccountingError(
                 f"refcount underflow on frame {self.frame}")
-        self._table.counts[idx] -= 1
-        return self._table.counts[idx]
+        return self._table.decr_count(idx)
 
     def pin(self) -> None:
         """Take one kiobuf pin."""

@@ -15,8 +15,9 @@ swapped out any more but still in use" (Sec. 3.1).
 Since the E18 scale-out the map is columnar: all per-frame state lives
 in one :class:`~repro.kernel.page.FrameTable` and ``self.pages`` holds
 cached :class:`~repro.kernel.page.PageDescriptor` *views* (one per
-frame, identity-stable).  ``alloc``/``put_page`` mutate the columns
-directly; :meth:`orphans` walks the incrementally maintained
+frame, identity-stable).  ``alloc``/``get_page``/``put_page`` mutate
+the columns through the table's mutators, which bump the machine's
+state sequence number; :meth:`orphans` walks the incrementally maintained
 orphan-candidate set and :meth:`check_free_list` uses a parallel free
 *set* for O(1) duplicate detection, so neither audit scans every frame
 (pass ``full_scan=True`` to get the legacy whole-table walk for A/B
@@ -30,6 +31,7 @@ from typing import Iterator
 from repro.errors import OutOfMemory, PageAccountingError
 from repro.kernel.flags import PG_PAGECACHE, PG_RESERVED
 from repro.kernel.page import FrameTable, PageDescriptor
+from repro.kernel.stateseq import StateSeq
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.trace import Trace
@@ -40,12 +42,13 @@ class PageMap:
 
     def __init__(self, num_frames: int, clock: SimClock, costs: CostModel,
                  trace: Trace | None = None,
-                 reserved_frames: int = 0) -> None:
+                 reserved_frames: int = 0,
+                 seq: StateSeq | None = None) -> None:
         self._clock = clock
         self._costs = costs
         self._trace = trace
         self.num_frames = num_frames
-        self.table = FrameTable(num_frames)
+        self.table = FrameTable(num_frames, seq)
         #: identity-stable per-frame views (compatibility surface)
         self.pages: list[PageDescriptor] = [
             PageDescriptor.bound(self.table, i) for i in range(num_frames)]
@@ -56,8 +59,8 @@ class PageMap:
             range(num_frames - 1, reserved_frames - 1, -1))
         self._free_set: set[int] = set(self._free)
         for i in range(reserved_frames):
-            self.table.flags[i] |= PG_RESERVED
-            self.table.counts[i] = 1
+            self.table.set_flag_bits(i, PG_RESERVED)
+            self.table.set_count(i, 1)
             self.table.set_tag(i, "kernel-image")
         self.reserved_frames = reserved_frames
 
@@ -110,7 +113,7 @@ class PageMap:
         if table.counts[frame] == 0:
             raise PageAccountingError(
                 f"get_page on free frame {frame}")
-        table.counts[frame] += 1
+        table.incr_count(frame)
         return self.pages[frame]
 
     def put_page(self, frame: int) -> bool:
@@ -121,11 +124,8 @@ class PageMap:
         Reserved frames are never returned to the free list even at count
         zero (the kernel leaves them alone entirely)."""
         table = self.table
-        if table.counts[frame] <= 0:
-            raise PageAccountingError(
-                f"refcount underflow on frame {frame}")
-        table.counts[frame] -= 1
-        if table.counts[frame] == 0 and not table.flags[frame] & PG_RESERVED:
+        if table.decr_count(frame) == 0 \
+                and not table.flags[frame] & PG_RESERVED:
             table.scrub_identity(frame)
             if table.pin_counts[frame] != 0:
                 raise PageAccountingError(

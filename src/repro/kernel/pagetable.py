@@ -14,6 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.kernel.stateseq import StateSeq
+
 
 @dataclass
 class PTE:
@@ -39,16 +41,24 @@ class PageTable:
     (The real kernel uses a multi-level radix structure; the simulator
     uses a dict because only the *semantics* of entries matter to the
     paper's arguments, not their encoding.)
+
+    Every mutator here bumps the machine's state sequence number
+    ``seq`` (see :mod:`repro.kernel.stateseq`).  The PTE bits callers
+    set on a returned entry directly (``accessed``, ``dirty``,
+    ``writable``, ``cow``) are read by no audit and do not.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, seq: StateSeq | None = None) -> None:
         self._entries: dict[int, PTE] = {}
+        self.seq = seq if seq is not None else StateSeq()
         #: sorted vpn cache — walks are far more frequent than
         #: insert/remove, so sort once and invalidate on mutation
         #: instead of re-sorting on every walk
         self._sorted_vpns: list[int] | None = None
 
-    def _sorted(self) -> list[int]:
+    def vpns(self) -> list[int]:
+        """Every vpn with an entry, ascending (the cached sorted list;
+        callers must not mutate it)."""
         if self._sorted_vpns is None:
             self._sorted_vpns = sorted(self._entries)
         return self._sorted_vpns
@@ -64,6 +74,7 @@ class PageTable:
             pte = PTE()
             self._entries[vpn] = pte
             self._sorted_vpns = None
+            self.seq.bump()
         return pte
 
     def set_mapping(self, vpn: int, frame: int, writable: bool,
@@ -76,6 +87,7 @@ class PageTable:
         pte.dirty = dirty
         pte.accessed = True
         pte.swap_slot = -1
+        self.seq.bump()
         return pte
 
     def set_swapped(self, vpn: int, slot: int) -> PTE:
@@ -84,16 +96,18 @@ class PageTable:
         pte.present = False
         pte.frame = -1
         pte.swap_slot = slot
+        self.seq.bump()
         return pte
 
     def clear(self, vpn: int) -> None:
         """Remove any entry for ``vpn`` (munmap path)."""
         if self._entries.pop(vpn, None) is not None:
             self._sorted_vpns = None
+            self.seq.bump()
 
     def present_entries(self) -> Iterator[tuple[int, PTE]]:
         """Iterate ``(vpn, pte)`` over present entries, ascending vpn."""
-        for vpn in self._sorted():
+        for vpn in self.vpns():
             pte = self._entries[vpn]
             if pte.present:
                 yield vpn, pte
@@ -102,7 +116,7 @@ class PageTable:
                    ) -> Iterator[tuple[int, PTE]]:
         """Iterate entries with ``start_vpn <= vpn < end_vpn``
         (bisected out of the sorted-key cache, not a full scan)."""
-        keys = self._sorted()
+        keys = self.vpns()
         for i in range(bisect_left(keys, start_vpn), len(keys)):
             vpn = keys[i]
             if vpn >= end_vpn:

@@ -22,15 +22,22 @@ Every reclaim attempt is retried with exponential backoff; after
 record (:meth:`~repro.via.kernel_agent.KernelAgent.forget_registration`)
 so even a permanently failing backend converges to a clean TPT.  Each
 scan produces a :class:`ReaperReport` of what it found and freed.
+
+A scan that reclaimed nothing, failed nothing and deferred nothing
+leaves the machine exactly as it found it, so while the machine's state
+sequence number (:mod:`repro.kernel.stateseq`) stays where that scan
+left it, with no backoff pending and no descriptor deadline, the next
+scan would find nothing either: it skips the six phases and does the
+rest of a scan's bookkeeping (count, charge, cadence, report, metrics).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.events import UNPIN
+from repro.core.audit import expected_pins, state_stamp
 from repro.errors import ReproError
 from repro.sim.clock import ScheduledEvent
 
@@ -116,6 +123,9 @@ class OrphanReaper:
         self._backoff: dict[tuple, _Backoff] = {}
         self._next_due_ns = 0
         self._in_scan = False
+        #: state stamp left by the last scan that found nothing to do
+        #: (None after any scan that did something)
+        self._idle_stamp: tuple[int, ...] | None = None
         #: pending calendar event, if any
         self._event: ScheduledEvent | None = None
         #: calendar-shard label: all of this reaper's events carry it,
@@ -184,12 +194,21 @@ class OrphanReaper:
         self._in_scan = True
         free_before = kernel.pagemap.free_count
         try:
-            self._reap_dead_registrations(report)
-            self._reap_dead_kiobufs(report)
-            self._reap_dead_vis(report)
-            self._reap_stale_descriptors(report)
-            self._reap_orphan_frames(report)
-            self._reap_unexplained_pins(report)
+            stamp = state_stamp(kernel, self.agents)
+            if (stamp != self._idle_stamp or self._backoff
+                    or self.descriptor_deadline_ns is not None):
+                self._idle_stamp = None
+                self._reap_dead_registrations(report)
+                self._reap_dead_kiobufs(report)
+                self._reap_dead_vis(report)
+                self._reap_stale_descriptors(report)
+                self._reap_orphan_frames(report)
+                self._reap_unexplained_pins(report)
+                if not (report.reclaimed_total or report.failures
+                        or report.deferred):
+                    # Stamped before the charge below, whose calendar
+                    # firings may mutate state this scan never saw.
+                    self._idle_stamp = state_stamp(kernel, self.agents)
         finally:
             self._in_scan = False
         kernel.clock.charge(kernel.costs.syscall_ns, "reaper")
@@ -223,7 +242,7 @@ class OrphanReaper:
     # -------------------------------------------------------------- helpers
 
     def _alive(self, pid: int) -> bool:
-        return any(t.pid == pid for t in self.kernel.tasks)
+        return pid in self.kernel.tasks_by_pid
 
     def _uid_of(self, pid: int) -> int | None:
         """Resolve a (possibly dead) pid to its tenant uid through the
@@ -341,7 +360,7 @@ class OrphanReaper:
                     report.attribute(vi.owner_pid,
                                      self._uid_of(vi.owner_pid))
             for pid in [p for p in agent._tags if not self._alive(p)]:
-                agent._tags.pop(pid, None)
+                agent.drop_tag(pid)
 
     def _reap_stale_descriptors(self, report: ReaperReport) -> None:
         """Descriptors posted longer ago than the configured deadline.
@@ -373,12 +392,6 @@ class OrphanReaper:
                             age_ns=self.kernel.clock.now_ns
                             - desc.posted_at_ns)
 
-    def _live_registration_frames(self) -> set[int]:
-        return {frame
-                for agent in self.agents
-                for reg in agent.registrations.values()
-                for frame in reg.region.frames}
-
     def _reap_orphan_frames(self, report: ReaperReport) -> None:
         """swap_out's orphans — unmapped frames kept alive by leaked
         references — that no recorded registration still explains.
@@ -387,7 +400,8 @@ class OrphanReaper:
         eventual deregistration will drop the reference itself, and
         freeing underneath it would underflow.
         """
-        explained = self._live_registration_frames()
+        explained = expected_pins(self.kernel, self.agents,
+                                  count_kiobufs=False)
         table = self.kernel.pagemap.table
         # Candidate-set sweep: only frames whose tag is "orphan" are in
         # the set, so this is O(orphans) instead of O(frames).
@@ -421,15 +435,7 @@ class OrphanReaper:
         by the backoff schedule — a transiently in-flight pin must not
         be stripped) the excess pins are force-released.
         """
-        expected: Counter[int] = Counter()
-        for agent in self.agents:
-            for reg in agent.registrations.values():
-                for frame in reg.region.frames:
-                    expected[frame] += 1
-        for kio in self.kernel.kiobufs.values():
-            if kio.mapped:
-                for frame in kio.frames:
-                    expected[frame] += 1
+        expected = expected_pins(self.kernel, self.agents)
         now = self.kernel.clock.now_ns
         pagemap = self.kernel.pagemap
         excess_frames: set[int] = set()

@@ -29,7 +29,7 @@ class Task:
         self.uid = uid
         self.name = name or f"task{pid}"
         self.capabilities: set[str] = set()
-        self.page_table = PageTable()
+        self.page_table = PageTable(kernel.state_seq)
         self.vmas = VMAList()
         #: next mmap placement hint, in vpns (grows upward)
         self.mmap_hint_vpn = 0x1000

@@ -121,8 +121,14 @@ class KernelAgent:
         if tag is None:
             tag = next(_tags)
             self._tags[task.pid] = tag
+            self.kernel.state_seq.bump()
         self.tenants.note_task(task)
         return tag
+
+    def drop_tag(self, pid: int) -> None:
+        """Forget ``pid``'s protection tag (exit path, reaper)."""
+        if self._tags.pop(pid, None) is not None:
+            self.kernel.state_seq.bump()
 
     def prot_tag(self, task: "Task") -> int:
         """The task's protection tag (must have opened the NIC)."""
@@ -199,6 +205,7 @@ class KernelAgent:
                            nbytes=nbytes, backend_name=self.backend.name,
                            uid=task.uid)
         self.registrations[region.handle] = reg
+        self.kernel.state_seq.bump()
         # Charge while the record exists: a crash at register.installed
         # runs the exit path's deregistration, whose credit must find
         # the charge already booked.
@@ -227,6 +234,7 @@ class KernelAgent:
         reg = self.registrations.pop(handle, None)
         if reg is None:
             raise NotRegistered(f"no registration with handle {handle}")
+        self.kernel.state_seq.bump()
         # Credit follows the record: it is gone as of the pop above,
         # even if the unlock below fails (that leak is the reaper's).
         self.tenants.credit(reg)
@@ -265,6 +273,7 @@ class KernelAgent:
         self._purge_odp_index(handle, reg.region.lock_cookie)
         self.backend.unlock(self.kernel, reg.region.lock_cookie)
         self.registrations.pop(handle, None)
+        self.kernel.state_seq.bump()
         self.tenants.credit(reg)
         region = self.nic.tpt.remove(handle)
         self.kernel.clock.charge(
@@ -281,6 +290,7 @@ class KernelAgent:
         reg = self.registrations.pop(handle, None)
         if reg is None:
             raise NotRegistered(f"no registration with handle {handle}")
+        self.kernel.state_seq.bump()
         self.tenants.credit(reg)
         if self.kernel.events.active:
             self.kernel.events.emit(DEREGISTER, handle=handle, pid=reg.pid)
@@ -436,7 +446,7 @@ class KernelAgent:
         for reg in self.registrations_of(pid):
             self.deregister_memory(reg.handle)
             regs += 1
-        self._tags.pop(pid, None)
+        self.drop_tag(pid)
         if vis or regs or descriptors:
             self.kernel.trace.emit("via_task_teardown", pid=pid, vis=vis,
                                    registrations=regs,

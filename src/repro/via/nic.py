@@ -57,7 +57,7 @@ class VIANic:
         self.kernel = kernel
         self.tpt = TranslationProtectionTable(
             tpt_entries, clock=kernel.clock, costs=kernel.costs,
-            events=kernel.events)
+            events=kernel.events, seq=kernel.state_seq)
         self.dma = DMAEngine(kernel.phys, kernel.clock, kernel.costs,
                              kernel.trace, name=f"{name}-dma",
                              obs=kernel.obs, events=kernel.events)
@@ -110,6 +110,7 @@ class VIANic:
         vi.recv_cq = recv_cq
         self._next_vi_id += 1
         self.vis[vi.vi_id] = vi
+        self.kernel.state_seq.bump()
         return vi
 
     def vi(self, vi_id: int) -> VirtualInterface:
@@ -126,6 +127,7 @@ class VIANic:
             raise ViaConnectionError(
                 f"VI {vi_id} is still connected")
         del self.vis[vi_id]
+        self.kernel.state_seq.bump()
 
     def teardown_vi(self, vi_id: int, reason: str = "teardown") -> int:
         """Forcibly remove a VI in *any* state (exit path / reaper).
@@ -146,6 +148,7 @@ class VIANic:
             if cq is not None:
                 cq.drain_vi(vi_id)
         del self.vis[vi_id]
+        self.kernel.state_seq.bump()
         self.kernel.trace.emit("vi_teardown", nic=self.name, vi=vi_id,
                                owner=vi.owner_pid, reason=reason,
                                flushed=flushed)

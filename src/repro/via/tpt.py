@@ -37,6 +37,7 @@ from repro.errors import (
     NotRegistered, ProtectionError, TranslationFault, ViaError,
 )
 from repro.hw.physmem import PAGE_SIZE
+from repro.kernel.stateseq import StateSeq
 from repro.via.constants import (
     DEFAULT_TPT_ENTRIES, DEFAULT_TRANSLATION_CACHE_ENTRIES,
 )
@@ -57,17 +58,21 @@ class FrameList(list):
     recorded frames; tests (and the staleness experiments) simulate "the
     kernel moved a page" by assigning ``region.frames[i]`` directly, so
     every mutating operation bumps :attr:`version` and derived state is
-    rebuilt on the next translation.
+    rebuilt on the next translation.  The same operations bump the
+    owning machine's state sequence number ``seq``, so the audits see a
+    recorded frame change however it was made.
     """
 
-    __slots__ = ("version",)
+    __slots__ = ("version", "seq")
 
-    def __init__(self, iterable=()) -> None:
+    def __init__(self, iterable=(), seq: StateSeq | None = None) -> None:
         super().__init__(iterable)
         self.version = 0
+        self.seq = seq if seq is not None else StateSeq()
 
     def _mutated(self) -> None:
         self.version += 1
+        self.seq.bump()
 
     def __setitem__(self, *args):
         self._mutated()
@@ -226,13 +231,17 @@ class TranslationProtectionTable:
 
     ``clock``/``costs`` are optional: when provided (the NIC wires its
     kernel's in), translation charges simulated time per extent, per
-    page, or per cache hit, depending on which path served it.
+    page, or per cache hit, depending on which path served it.  So is
+    ``seq``, the machine's state sequence number that installs, removals
+    and recorded-frame writes bump (a standalone table gets its own).
     """
 
     def __init__(self, capacity_entries: int = DEFAULT_TPT_ENTRIES,
                  clock=None, costs=None,
                  translation_cache_entries: int =
-                 DEFAULT_TRANSLATION_CACHE_ENTRIES, events=None) -> None:
+                 DEFAULT_TRANSLATION_CACHE_ENTRIES, events=None,
+                 seq: StateSeq | None = None) -> None:
+        self.seq = seq if seq is not None else StateSeq()
         self.capacity_entries = capacity_entries
         self.regions: dict[int, MemoryRegion] = {}
         self.entries_used = 0
@@ -268,12 +277,13 @@ class TranslationProtectionTable:
                 status="VIP_ERROR_RESOURCE")
         region = MemoryRegion(
             handle=next(_handles), va_base=va_base, nbytes=nbytes,
-            prot_tag=prot_tag, frames=FrameList(frames),
+            prot_tag=prot_tag, frames=FrameList(frames, self.seq),
             rdma_write_enable=rdma_write, rdma_read_enable=rdma_read,
             rdma_atomic_enable=rdma_atomic, lock_cookie=lock_cookie,
             odp=odp)
         self.regions[region.handle] = region
         self.entries_used += len(frames)
+        self.seq.bump()
         events = self._events
         if events is not None and events.active:
             events.emit(TPT_INSERT, handle=region.handle,
@@ -337,6 +347,7 @@ class TranslationProtectionTable:
             raise NotRegistered(f"no region with handle {handle}")
         region.valid = False
         self.entries_used -= region.npages
+        self.seq.bump()
         self.invalidate_translations(handle)
         events = self._events
         if events is not None and events.active:

@@ -928,7 +928,7 @@ class DLMHarness:
         self.report.conn_failures += 1
         self.report.notes.append(f"{client.name}: {exc}")
         kernel = client.machine.kernel
-        if any(t.pid == client.task.pid for t in kernel.tasks):
+        if client.task.pid in kernel.tasks_by_pid:
             kernel.exit_task(client.task)
         self.oracle.on_crash(client.name, self.clock.now_ns,
                              client.holding)
@@ -1022,7 +1022,7 @@ class DLMHarness:
         report = self.report
         for client in self.clients:
             kernel = client.machine.kernel
-            if any(t.pid == client.task.pid for t in kernel.tasks):
+            if client.task.pid in kernel.tasks_by_pid:
                 kernel.exit_task(client.task)
         m0 = self.cluster[0]
         if self.janitor is not None:

@@ -247,7 +247,7 @@ class SoakHarness:
                     self.report.kills_dirty += 1
                 else:
                     self.report.kills_clean += 1
-            elif any(t.pid == endpoint.task.pid for t in kernel.tasks):
+            elif endpoint.task.pid in kernel.tasks_by_pid:
                 kernel.exit_task(endpoint.task)
         tenant.sender = tenant.receiver = None
         tenant.scratch = []

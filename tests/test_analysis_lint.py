@@ -98,6 +98,29 @@ def test_kernel_mutation_scoped_to_layers_above_the_kernel():
         "bad_kernel_mutation.py", relpath="repro/kernel/paging.py") == []
 
 
+def test_column_writes_flagged_anywhere_outside_the_owner():
+    """Raw writes into stamped state bypass the state sequence number,
+    so they are flagged in every layer, the kernel's own included."""
+    for relpath in ("repro/kernel/pagemap.py", "repro/core/audit.py",
+                    "repro/via/nic.py"):
+        findings = lint_fixture("bad_column_write.py", relpath=relpath)
+        assert rules_of(findings) == ["kernel-mutation"] * 6
+
+
+def test_column_writes_allowed_in_the_owning_module():
+    page = lint_fixture("bad_column_write.py",
+                        relpath="repro/kernel/page.py")
+    assert len(page) == 1 and "`._entries[...]`" in page[0].message
+    table = lint_fixture("bad_column_write.py",
+                         relpath="repro/kernel/pagetable.py")
+    assert len(table) == 5                    # only the column writes
+
+
+def test_column_writes_accept_mutators_reads_and_own_state():
+    assert lint_fixture("good_column_write.py",
+                        relpath="repro/kernel/pagemap.py") == []
+
+
 # -------------------------------------------------------- faultplan-validation
 
 def test_faultplan_flags_unvalidated_knobs():
