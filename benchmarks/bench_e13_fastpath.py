@@ -1,15 +1,17 @@
 """E13 — the fast-path data plane.
 
 The paper's argument is that translation and pinning must stay off the
-communication fast path.  This experiment measures what the simulator's
-own fast path buys once translations are extent-coalesced and cached and
-DMA bursts are merged across adjacent frames:
+communication fast path.  This experiment gates the simulator's own fast
+path, where translations are extent-coalesced and cached and DMA bursts
+are merged across adjacent frames:
 
 1. host-time throughput of a multi-page rendezvous-zero-copy transfer
-   loop, fast path vs the legacy per-page path — the simulator itself
-   must run "as fast as the hardware allows" (≥ 2x is asserted);
-2. simulated-ns comparison of the same loop (fewer DMA engine set-ups
-   and cached TPT lookups also shrink *simulated* latency);
+   loop must stay at or above :data:`HOST_MB_S_FLOOR`, twice what the
+   retired per-page data plane managed on the reference host;
+2. the simulated latency of a warm transfer is pinned exactly per size
+   (:data:`SIM_NS`), each below what the per-page path charged, and a
+   warm 1 MiB transfer's translation-cache and DMA-burst counters are
+   pinned (:data:`WARM_COUNTERS`);
 3. registration-cache acquire-hit cost as the number of cached entries
    grows — the interval index keeps a hit O(1), so per-hit host time
    must stay flat instead of growing with the entry count.
@@ -30,19 +32,26 @@ NBYTES = 1 << 20          #: 256 pages — a genuinely multi-page transfer
 LOOP = 30                 #: transfers per timed loop
 QUICK_SIZES = [1 << 14, 1 << 17, 1 << 20]
 
+#: Simulated ns of a warm transfer per size, swept in QUICK_SIZES order
+#: on one pair.  The retired per-page data plane charged 342 990 /
+#: 1 981 310 / 12 725 510 ns for the same transfers.
+SIM_NS = {1 << 14: 335_477, 1 << 17: 1_903_811, 1 << 20: 12_088_106}
 
-def build_pair(fastpath: bool, nbytes: int = NBYTES):
-    """A connected endpoint pair with the data plane in fast or legacy
-    mode (legacy = per-page TPT walk, no translation cache, per-segment
-    DMA bursts — the pre-fast-path code path)."""
+#: Per NIC (sender, receiver): translation-cache hits, misses and DMA
+#: bursts of one 1 MiB transfer after a warm-up transfer.
+WARM_COUNTERS = [(3, 1, 4), (2, 2, 4)]
+
+#: Host MB/s floor of the 1 MiB loop: 2x the 153 MB/s the per-page data
+#: plane read on a 2-vCPU shared Xeon VM at 2.1 GHz (the fast path read
+#: 518 MB/s there).
+HOST_MB_S_FLOOR = 2 * 153.0
+
+
+def build_pair(nbytes: int = NBYTES):
+    """A connected endpoint pair with touched, filled source and
+    destination buffers."""
     cluster = Cluster(2, num_frames=4096, backend="kiobuf")
     s, r = make_pair(cluster)
-    if not fastpath:
-        for i in (0, 1):
-            nic = cluster[i].nic
-            nic.tpt.coalesce_extents = False
-            nic.tpt.translation_cache_entries = 0
-            nic.dma.coalesce = False
     pages = nbytes // PAGE_SIZE + 2
     src = s.task.mmap(pages)
     s.task.touch_pages(src, pages)
@@ -64,60 +73,66 @@ def timed_loop(proto, s, r, src, dst, nbytes, loops=LOOP, rounds=3):
     return best
 
 
+def nic_counters(cluster) -> list[tuple[int, int, int]]:
+    """``(tpt cache hits, tpt cache misses, dma bursts)`` per NIC."""
+    return [(m.nic.tpt.cache_hits, m.nic.tpt.cache_misses,
+             m.nic.dma.bursts_issued) for m in cluster.machines]
+
+
 @pytest.fixture(scope="module")
-def fastpath_rows():
-    rows = []
-    for fastpath in (False, True):
-        cluster, s, r, src, dst = build_pair(fastpath)
-        proto = RendezvousZeroCopyProtocol(use_cache=True)
-        warm = proto.transfer(s, r, src, dst, NBYTES)   # warm the caches
-        assert warm.ok
-        res = proto.transfer(s, r, src, dst, NBYTES)
-        host_s = timed_loop(proto, s, r, src, dst, NBYTES)
-        mode = "fast" if fastpath else "legacy"
-        mb_s = NBYTES * LOOP / host_s / 1e6
-        tpt = s.machine.nic.tpt
-        rows.append([mode, res.sim_ns / 1000.0, host_s / LOOP * 1e3,
-                     mb_s, tpt.cache_hits, s.machine.nic.dma.bursts_issued])
-    return rows
+def fastpath_row():
+    cluster, s, r, src, dst = build_pair()
+    proto = RendezvousZeroCopyProtocol(use_cache=True)
+    warm = proto.transfer(s, r, src, dst, NBYTES)   # warm the caches
+    assert warm.ok
+    before = nic_counters(cluster)
+    res = proto.transfer(s, r, src, dst, NBYTES)
+    counters = [tuple(b - a for a, b in zip(x, y))
+                for x, y in zip(before, nic_counters(cluster))]
+    host_s = timed_loop(proto, s, r, src, dst, NBYTES)
+    return {"sim_us": res.sim_ns / 1000.0,
+            "host_ms": host_s / LOOP * 1e3,
+            "mb_s": NBYTES * LOOP / host_s / 1e6,
+            "counters": counters}
 
 
-def test_e13_host_throughput_speedup(fastpath_rows, report):
+def test_e13_host_throughput_floor(fastpath_row, report):
+    row = fastpath_row
     if report("E13: fast-path data plane"):
         print_table(
-            "E13a — 1 MiB rendezvous-zero-copy loop, legacy vs fast path",
-            ["mode", "sim us/transfer", "host ms/transfer",
-             "host MB/s", "tpt cache hits", "dma bursts"],
-            fastpath_rows)
-    legacy, fast = fastpath_rows
-    ratio = fast[3] / legacy[3]
-    record("metric", "E13 host-throughput speedup", ratio=ratio)
-    assert ratio >= 2.0, (
-        f"fast path must at least double host throughput "
-        f"(got {ratio:.2f}x)")
-    # The fast path also shortens *simulated* time: fewer DMA engine
-    # set-ups and cached translations.
-    assert fast[1] < legacy[1]
+            "E13a — 1 MiB rendezvous-zero-copy loop, warm caches",
+            ["sim us/transfer", "host ms/transfer", "host MB/s",
+             "floor MB/s"],
+            [[row["sim_us"], row["host_ms"], row["mb_s"],
+              HOST_MB_S_FLOOR]])
+    record("metric", "E13 host throughput", mb_s=row["mb_s"],
+           floor_mb_s=HOST_MB_S_FLOOR)
+    assert row["mb_s"] >= HOST_MB_S_FLOOR, (
+        f"fast path must stay at >= {HOST_MB_S_FLOOR:.0f} MB/s of host "
+        f"throughput (got {row['mb_s']:.1f})")
+
+
+def test_e13_warm_transfer_counters(fastpath_row):
+    """A warm transfer is served from the translation cache and moves
+    its payload in merged bursts."""
+    assert fastpath_row["counters"] == WARM_COUNTERS
 
 
 def test_e13_sim_ns_sweep(report):
-    series: dict[str, list] = {"legacy": [], "fast": []}
-    for fastpath in (False, True):
-        name = "fast" if fastpath else "legacy"
-        cluster, s, r, src, dst = build_pair(fastpath)
-        proto = RendezvousZeroCopyProtocol(use_cache=True)
-        for size in QUICK_SIZES:
-            proto.transfer(s, r, src, dst, size)         # warm
-            res = proto.transfer(s, r, src, dst, size)
-            assert res.ok
-            series[name].append((size, res.sim_ns / 1000.0))
-    if report("E13b: simulated latency, legacy vs fast path"):
+    cluster, s, r, src, dst = build_pair()
+    proto = RendezvousZeroCopyProtocol(use_cache=True)
+    measured = {}
+    for size in QUICK_SIZES:
+        proto.transfer(s, r, src, dst, size)         # warm
+        res = proto.transfer(s, r, src, dst, size)
+        assert res.ok
+        measured[size] = res.sim_ns
+    if report("E13b: simulated latency of a warm transfer"):
         print_series("E13b — zero-copy transfer latency", "bytes",
-                     series, ylabel="sim us")
-    for (size, legacy_us), (_, fast_us) in zip(series["legacy"],
-                                               series["fast"]):
-        assert fast_us <= legacy_us, \
-            f"fast path slower in sim at {size} bytes"
+                     {"fast": [(size, ns / 1000.0)
+                               for size, ns in measured.items()]},
+                     ylabel="sim us")
+    assert measured == SIM_NS
 
 
 def test_e13_regcache_hit_is_o1(report):
@@ -159,7 +174,7 @@ def test_e13_regcache_hit_is_o1(report):
 
 def test_e13_fastpath_transfer(benchmark):
     """Host time of one fast-path 1 MiB zero-copy transfer."""
-    cluster, s, r, src, dst = build_pair(True)
+    cluster, s, r, src, dst = build_pair()
     proto = RendezvousZeroCopyProtocol(use_cache=True)
     proto.transfer(s, r, src, dst, NBYTES)   # warm
 
@@ -169,15 +184,3 @@ def test_e13_fastpath_transfer(benchmark):
 
     benchmark(xfer)
 
-
-def test_e13_legacy_transfer(benchmark):
-    """Host time of the same transfer on the legacy per-page path."""
-    cluster, s, r, src, dst = build_pair(False)
-    proto = RendezvousZeroCopyProtocol(use_cache=True)
-    proto.transfer(s, r, src, dst, NBYTES)   # warm
-
-    def xfer():
-        res = proto.transfer(s, r, src, dst, NBYTES)
-        assert res.ok
-
-    benchmark(xfer)

@@ -7,22 +7,21 @@ incremental pinned/orphan index sets, so audits stop walking the whole
 table), and the batched NIC fast path (``post_*_many`` amortizes the
 doorbell/fetch charges; ``drain_batch`` empties a CQ in one call).
 
-This experiment measures what the three buy *together* on a soak-shaped
-cluster: two machines, ``TENANTS`` tenants each running a connected VI
-pair, with an orphan reaper per machine and one cluster watchdog
-sampling invariants on a short cadence.  Both arms move the same
-messages under the same daemon cadences — the legacy arm uses the
-per-charge subscriber wiring, whole-table audit scans, and one-at-a-time
-posting; the new arm uses calendar events, incremental-set audits, and
-batched posting/draining.
+This experiment measures what they buy on a soak-shaped cluster: two
+machines, ``TENANTS`` tenants each running a connected VI pair, with an
+orphan reaper per machine and one cluster watchdog sampling invariants
+on a short cadence.
 
-Asserted gates:
+Asserted gates, absolute since the per-charge / full-scan /
+one-at-a-time legacy arm was retired (its figures are in
+EXPERIMENTS.md):
 
-1. whole-cluster throughput (messages/sec of host time) improves by at
-   least 3x;
-2. host seconds burned per simulated second drop accordingly;
-3. the A/B is honest — both arms run the same number of watchdog
-   samples and reaper scans, so the speedup comes from mechanism, not
+1. whole-cluster throughput (messages/sec of host time) of at least
+   :data:`OPS_PER_SEC_FLOOR`, 3x the retired arm;
+2. host seconds burned per simulated second of at most
+   :data:`HOST_S_PER_SIM_S_CEILING`, the retired arm's figure;
+3. the run is honest — the watchdog and the reapers sample at (nearly)
+   their full cadence, so the throughput comes from mechanism, not
    from skipped work.
 """
 
@@ -34,7 +33,6 @@ import pytest
 from repro.bench.harness import print_table, record
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel.reaper import OrphanReaper
-from repro.via.constants import VIP_SUCCESS
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.machine import Cluster
 
@@ -47,17 +45,30 @@ PAYLOAD = 256                 #: bytes per message
 REAPER_NS = 50_000            #: reaper cadence (short: soak-shaped)
 WATCHDOG_NS = 20_000          #: invariant sampling cadence
 
+#: The retired legacy arm (per-charge watchdog wiring, full-scan audits,
+#: one-at-a-time posting) on a 2-vCPU shared Xeon VM at 2.1 GHz read
+#: 166-199 msgs/s and 271-324 host s / sim s at the CI scale
+#: (REPRO_E18_TENANTS=4, ROUNDS=10, BATCH=8, FRAMES=4096), and 71-91
+#: msgs/s and 593-761 host s / sim s at full scale.  The gates take the
+#: strictest of those figures and apply them at every scale.
+LEGACY_OPS_PER_SEC = 198.6
+LEGACY_HOST_S_PER_SIM_S = 271.1
+OPS_PER_SEC_FLOOR = 3 * LEGACY_OPS_PER_SEC
+HOST_S_PER_SIM_S_CEILING = LEGACY_HOST_S_PER_SIM_S
+#: least share of the nominal cadence the daemons must sample at
+CADENCE_SHARE = 0.9
+
 
 class Tenant:
     """One tenant: a task per machine and a connected VI pair, with
     ``BATCH`` registered buffers on each side reused every round."""
 
-    def __init__(self, cluster: Cluster, index: int, use_cq: bool):
+    def __init__(self, cluster: Cluster, index: int):
         sender = cluster[0].spawn(f"tenant{index}.s")
         receiver = cluster[1].spawn(f"tenant{index}.r")
         self.ua_s = cluster[0].user_agent(sender)
         self.ua_r = cluster[1].user_agent(receiver)
-        self.cq = self.ua_r.create_cq() if use_cq else None
+        self.cq = self.ua_r.create_cq()
         self.vi_s = self.ua_s.create_vi()
         self.vi_r = self.ua_r.create_vi(recv_cq=self.cq)
         cluster.connect(self.vi_s, cluster[0], self.vi_r, cluster[1])
@@ -80,7 +91,7 @@ class Tenant:
         return rdescs, sdescs
 
     def round_batched(self) -> int:
-        """One round on the new path: batch-post, batch-drain."""
+        """One round: batch-post, batch-drain."""
         rdescs, sdescs = self._descriptors()
         self.ua_r.post_recv_many(self.vi_r, rdescs)
         self.ua_s.post_send_many(self.vi_s, sdescs)
@@ -88,41 +99,23 @@ class Tenant:
         assert len(comps) == BATCH
         return BATCH
 
-    def round_legacy(self) -> int:
-        """The same messages, posted and reaped one at a time."""
-        rdescs, sdescs = self._descriptors()
-        for desc in rdescs:
-            self.ua_r.post_recv(self.vi_r, desc)
-        for desc in sdescs:
-            self.ua_s.post_send(self.vi_s, desc)
-        for i in range(BATCH):
-            done = self.ua_r.recv_done(self.vi_r)
-            assert done.status == VIP_SUCCESS
-        return BATCH
 
-
-def run_arm(events: bool) -> dict:
-    """Build the cluster, run the soak, return the arm's metrics."""
+def run_soak() -> dict:
+    """Build the cluster, run the soak, return its metrics."""
     cluster = Cluster(2, num_frames=FRAMES, backend="kiobuf")
     reapers = [OrphanReaper(m.kernel, agents=[m.agent],
                             interval_ns=REAPER_NS)
                for m in cluster.machines]
-    # The reaper is calendar-only now (its legacy subscriber arm was
-    # retired); the A/B legacy arm still varies the watchdog cadence,
-    # full-scan audits, and one-at-a-time posting.
     for reaper in reapers:
         reaper.start()
-    watchdog = cluster.arm_watchdog(interval_ns=WATCHDOG_NS,
-                                    use_events=events,
-                                    full_scan=not events)
-    tenants = [Tenant(cluster, i, use_cq=events) for i in range(TENANTS)]
+    watchdog = cluster.arm_watchdog(interval_ns=WATCHDOG_NS)
+    tenants = [Tenant(cluster, i) for i in range(TENANTS)]
 
     def soak() -> int:
         ops = 0
         for _ in range(ROUNDS):
             for tenant in tenants:
-                ops += (tenant.round_batched() if events
-                        else tenant.round_legacy())
+                ops += tenant.round_batched()
         return ops
 
     soak()                                   # warm caches and code paths
@@ -136,7 +129,7 @@ def run_arm(events: bool) -> dict:
         best = min(best, time.perf_counter() - t0)
     sim_s = (cluster.clock.now_ns - sim0) / 1e9 / TIMING_ROUNDS
     result = {
-        "mode": "events" if events else "legacy",
+        "machines": len(cluster.machines),
         "ops_per_sec": ops / best,
         "host_s_per_sim_s": best / sim_s,
         "sim_s": sim_s,
@@ -151,53 +144,51 @@ def run_arm(events: bool) -> dict:
 
 
 @pytest.fixture(scope="module")
-def arms():
-    return {"legacy": run_arm(False), "events": run_arm(True)}
+def soak():
+    return run_soak()
 
 
-def test_e18_cluster_ops_speedup(arms, report):
-    """The headline gate: >= 3x whole-cluster messages/sec."""
-    legacy, events = arms["legacy"], arms["events"]
+def test_e18_cluster_ops_floor(soak, report):
+    """The headline gate: whole-cluster messages/sec of host time."""
     if report("E18: simulator core scale-out"):
         print_table(
             f"E18a — {TENANTS}-tenant soak, {ROUNDS}x{BATCH} msgs/tenant, "
             f"{FRAMES} frames",
-            ["mode", "msgs/s (host)", "host s / sim s",
+            ["msgs/s (host)", "floor", "host s / sim s", "ceiling",
              "watchdog checks", "reaper scans"],
-            [[a["mode"], a["ops_per_sec"], a["host_s_per_sim_s"],
-              a["watchdog_checks"], a["reaper_scans"]]
-             for a in (legacy, events)])
-    ratio = events["ops_per_sec"] / legacy["ops_per_sec"]
+            [[soak["ops_per_sec"], OPS_PER_SEC_FLOOR,
+              soak["host_s_per_sim_s"], HOST_S_PER_SIM_S_CEILING,
+              soak["watchdog_checks"], soak["reaper_scans"]]])
     record("metrics", "E18 cluster scale-out",
            tenants=TENANTS, rounds=ROUNDS, batch=BATCH, frames=FRAMES,
-           legacy_ops_per_sec=legacy["ops_per_sec"],
-           events_ops_per_sec=events["ops_per_sec"],
-           speedup=ratio,
-           legacy_host_s_per_sim_s=legacy["host_s_per_sim_s"],
-           events_host_s_per_sim_s=events["host_s_per_sim_s"])
-    assert ratio >= 3.0, (
-        f"calendar + vectorized + batched core must deliver >= 3x "
-        f"cluster throughput (got {ratio:.2f}x)")
+           ops_per_sec=soak["ops_per_sec"],
+           ops_per_sec_floor=OPS_PER_SEC_FLOOR,
+           host_s_per_sim_s=soak["host_s_per_sim_s"],
+           host_s_per_sim_s_ceiling=HOST_S_PER_SIM_S_CEILING)
+    assert soak["ops_per_sec"] >= OPS_PER_SEC_FLOOR, (
+        f"calendar + vectorized + batched core must deliver >= "
+        f"{OPS_PER_SEC_FLOOR:.0f} cluster msgs/s "
+        f"(got {soak['ops_per_sec']:.1f})")
 
 
-def test_e18_host_time_per_sim_second(arms):
-    """The simulator must burn fewer host seconds per simulated second."""
-    assert (arms["events"]["host_s_per_sim_s"]
-            < arms["legacy"]["host_s_per_sim_s"])
+def test_e18_host_time_per_sim_second(soak):
+    """The simulator must burn no more host seconds per simulated
+    second than the retired legacy arm did."""
+    assert soak["host_s_per_sim_s"] <= HOST_S_PER_SIM_S_CEILING
 
 
-def test_e18_arms_do_the_same_daemon_work(arms):
-    """Honesty check: the speedup must not come from skipped samples.
-    Both arms run the same cadences, so their sampling *rates* per
-    simulated second must agree (the legacy arm spans more sim time per
-    soak — unbatched posting charges more — hence the normalization)."""
-    legacy, events = arms["legacy"], arms["events"]
-    for key in ("watchdog_checks", "reaper_scans"):
-        rates = sorted((legacy[key] / legacy["sim_s"],
-                        events[key] / events["sim_s"]))
-        assert rates[0] > 0, f"{key}: cadence never fired"
-        assert rates[1] / rates[0] < 1.2, (
-            f"{key}: per-sim-second rates diverge ({rates})")
+def test_e18_daemons_sample_at_full_cadence(soak):
+    """Honesty check: the throughput must not come from skipped
+    samples.  The cluster watchdog checks every machine once per
+    interval and each machine's reaper scans once per interval, so over
+    ``sim_s`` they owe ``machines * sim_s / interval`` samples each;
+    fire-once catch-up may drop a few."""
+    sim_ns = soak["sim_s"] * 1e9
+    for key, interval_ns in (("watchdog_checks", WATCHDOG_NS),
+                             ("reaper_scans", REAPER_NS)):
+        nominal = soak["machines"] * sim_ns / interval_ns
+        assert soak[key] >= CADENCE_SHARE * nominal, (
+            f"{key}: {soak[key]:.0f} samples, nominal {nominal:.0f}")
 
 
 def test_e18_batched_soak_round(benchmark):
@@ -205,6 +196,6 @@ def test_e18_batched_soak_round(benchmark):
     cluster = Cluster(2, num_frames=FRAMES, backend="kiobuf")
     cluster.start_reapers(interval_ns=REAPER_NS)
     cluster.arm_watchdog(interval_ns=WATCHDOG_NS)
-    tenant = Tenant(cluster, 0, use_cq=True)
+    tenant = Tenant(cluster, 0)
     tenant.round_batched()           # warm
     benchmark(tenant.round_batched)

@@ -29,7 +29,7 @@ CI to archive.
 Usage::
 
     python benchmarks/report.py               # full suite
-    python benchmarks/report.py --quick       # E13 + E5 only (CI smoke)
+    python benchmarks/report.py --quick       # E13 + E5 + E15 (CI smoke)
     python benchmarks/report.py -o OUT.json BENCH_DIR...
 
 Exit status is pytest's: a failing benchmark assertion fails the report.
@@ -49,8 +49,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 
-#: CI smoke selection: the fast-path experiment plus one legacy
-#: experiment, both cheap enough for a per-push job.
+#: CI smoke selection: the fast-path data plane (E13), one paper
+#: messaging experiment (E5) and the observability layer (E15), all
+#: cheap enough for a per-push job.
 QUICK = ["bench_e13_fastpath.py", "bench_e5_messaging.py",
          "bench_e15_observability.py"]
 

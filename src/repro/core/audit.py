@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import (
     InvalidArgument, InvariantViolation, PageAccountingError,
@@ -108,8 +108,7 @@ def state_stamp(kernel: "Kernel", agents: "Iterable[KernelAgent]"
 
 
 def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
-                    count_kiobufs: bool = False,
-                    full_scan: bool = False) -> list[LeakedPin]:
+                    count_kiobufs: bool = False) -> list[LeakedPin]:
     """Find frames whose pin count exceeds what live registrations
     explain — the leak signature of an error path that dropped a
     registration record without releasing its pin.
@@ -130,18 +129,10 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
 
     Only frames the page map's pinned set names can leak (a frame with
     zero pins never exceeds its expectation), so the audit is
-    O(pinned + registered), not O(frames); ``full_scan=True`` keeps the
-    legacy whole-table walk for the E18 before/after arms.
+    O(pinned + registered), not O(frames).
     """
     expected = expected_pins(kernel, agents, count_kiobufs=count_kiobufs)
     leaks: list[LeakedPin] = []
-    if full_scan:
-        for pd in kernel.pagemap:
-            if pd.pin_count > expected.get(pd.frame, 0):
-                leaks.append(LeakedPin(frame=pd.frame,
-                                       pin_count=pd.pin_count,
-                                       expected=expected.get(pd.frame, 0)))
-        return leaks
     pin_counts = kernel.pagemap.table.pin_counts
     for frame in kernel.pagemap.pinned_frames():
         if pin_counts[frame] > expected.get(frame, 0):
@@ -151,8 +142,7 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
     return leaks
 
 
-def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
-                            ) -> None:
+def audit_kernel_invariants(kernel: "Kernel") -> None:
     """Raise :class:`~repro.errors.PageAccountingError` if any kernel
     accounting invariant is violated.
 
@@ -166,10 +156,9 @@ def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
 
     Invariant 5 and the negative-counter check run against the frame
     table's columns and pinned set — an ``array`` ``min()`` plus a walk
-    of only the pinned frames — instead of visiting every descriptor;
-    ``full_scan=True`` restores the legacy walk (E18 A/B arms).
+    of only the pinned frames — instead of visiting every descriptor.
     """
-    kernel.pagemap.check_free_list(full_scan=full_scan)
+    kernel.pagemap.check_free_list()
 
     slot_owner: dict[int, tuple[int, int]] = {}
     for task in kernel.tasks:
@@ -194,15 +183,6 @@ def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
                         f"{other} and {(task.pid, vpn)}")
                 slot_owner[pte.swap_slot] = (task.pid, vpn)
 
-    if full_scan:
-        for pd in kernel.pagemap:
-            if pd.pin_count > 0 and pd.count == 0:
-                raise PageAccountingError(
-                    f"frame {pd.frame} pinned ({pd.pin_count}) but free")
-            if pd.pin_count < 0 or pd.count < 0:
-                raise PageAccountingError(
-                    f"frame {pd.frame} has negative counters")
-        return
     table = kernel.pagemap.table
     for frame in table.pinned:
         if table.counts[frame] == 0:
@@ -222,12 +202,11 @@ class InvariantWatchdog:
     Armed on a :class:`~repro.via.machine.Machine` or
     :class:`~repro.via.machine.Cluster` (or a raw ``(kernel, agents)``
     pair), the watchdog samples all three audits on a sim-clock cadence
-    — by default a self-rescheduling calendar event per clock, like the
-    reaper; ``use_events=False`` keeps the legacy per-charge subscriber
-    for the E18 A/B arms — and at every task-teardown boundary.  A
-    failed audit raises :class:`~repro.errors.InvariantViolation`
-    carrying a structured snapshot, so the violation surfaces at the
-    operation that caused it instead of at the end of the run.
+    — a self-rescheduling calendar event per clock, like the reaper —
+    and at every task-teardown boundary.  A failed audit raises
+    :class:`~repro.errors.InvariantViolation` carrying a structured
+    snapshot, so the violation surfaces at the operation that caused it
+    instead of at the end of the run.
 
     Cadence catch-up follows the calendar's fire-once semantics: a
     charge that jumps several intervals yields one sample, and the next
@@ -237,33 +216,31 @@ class InvariantWatchdog:
     pair, the :func:`state_stamp` of its last *clean* check, and a
     sample that finds the stamp unchanged counts as a check but skips
     the walks — nothing they read has been mutated, so they would
-    re-prove the same verdict.  A check that raised records no stamp,
-    and ``full_scan=True`` never skips.
+    re-prove the same verdict.  A check that raised records no stamp.
     """
 
     def __init__(self, *, interval_ns: int = 1_000_000,
                  check_kernel: bool = True,
                  check_tpt: bool = True,
-                 check_pins: bool = True,
-                 use_events: bool = True,
-                 full_scan: bool = False) -> None:
+                 check_pins: bool = True) -> None:
+        if interval_ns <= 0:
+            # The cadence reschedules one interval after each firing; a
+            # zero interval would re-fire inside its own dispatch pass
+            # forever.
+            raise ValueError(
+                f"watchdog interval_ns must be positive, got {interval_ns}")
         self.interval_ns = interval_ns
         self.check_kernel = check_kernel
         self.check_tpt = check_tpt
         self.check_pins = check_pins
-        self.use_events = use_events
-        #: run the audits' legacy whole-table walks (E18 A/B arms)
-        self.full_scan = full_scan
         self.checks_run = 0
         self.violations = 0
         self.armed = False
         self._pairs: list[tuple] = []     #: (kernel, [agents])
         #: pair index → stamp of its last clean check
         self._clean: dict[int, tuple] = {}
-        self._next_due_ns = 0
         self._in_check = False
         self._teardowns: list[tuple] = []  #: (hook_list, hook) to undo
-        self._unsubscribes: list[Callable[[], None]] = []
         #: one mutable cell per cadence chain holding its pending event
         self._cadences: list[list] = []
 
@@ -283,15 +260,9 @@ class InvariantWatchdog:
         self.armed = True
         clocks = {id(k.clock): k.clock for k, _ in pairs}
         for clock in clocks.values():
-            if self.use_events:
-                # First cadence sample is one interval out, not
-                # immediately; each chain reschedules itself.
-                self._start_cadence(clock)
-            else:
-                self._next_due_ns = max(self._next_due_ns,
-                                        clock.now_ns + self.interval_ns)
-                self._unsubscribes.append(clock.subscribe(  # repro-lint: allow(clock-subscribe)
-                    self._on_tick))
+            # First cadence sample is one interval out, not immediately;
+            # each chain reschedules itself.
+            self._start_cadence(clock)
         for kernel, _ in pairs:
             hook = self._make_teardown_hook()
             kernel.post_exit_hooks.append(hook)
@@ -318,9 +289,6 @@ class InvariantWatchdog:
     def disarm(self) -> None:
         """Stop all sampling and forget the armed pairs (a later
         :meth:`arm` starts afresh)."""
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes.clear()
         for cell in self._cadences:
             if cell[0] is not None:
                 cell[0].cancel()
@@ -338,12 +306,6 @@ class InvariantWatchdog:
             self.check(boundary=f"teardown pid {task.pid}")
         return on_teardown
 
-    def _on_tick(self, now_ns: int) -> None:
-        if not self.armed or now_ns < self._next_due_ns:
-            return
-        self._next_due_ns = now_ns + self.interval_ns
-        self.check(boundary="cadence")
-
     # -------------------------------------------------------------- checking
 
     def check(self, boundary: str = "manual") -> None:
@@ -360,15 +322,13 @@ class InvariantWatchdog:
     def _check_one(self, index: int, kernel, agents,
                    boundary: str) -> None:
         self.checks_run += 1
-        stamp = None
-        if not self.full_scan:
-            stamp = (self.check_kernel, self.check_tpt, self.check_pins,
-                     *state_stamp(kernel, agents))
-            if self._clean.get(index) == stamp:
-                return
+        stamp = (self.check_kernel, self.check_tpt, self.check_pins,
+                 *state_stamp(kernel, agents))
+        if self._clean.get(index) == stamp:
+            return
         if self.check_kernel:
             try:
-                audit_kernel_invariants(kernel, full_scan=self.full_scan)
+                audit_kernel_invariants(kernel)
             except PageAccountingError as exc:
                 raise self._violation(
                     "kernel", kernel, boundary, str(exc)) from exc
@@ -383,15 +343,13 @@ class InvariantWatchdog:
         if self.check_pins:
             # count_kiobufs: a cadence sample can land mid-registration,
             # where the pin exists but the record does not yet.
-            leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True,
-                                    full_scan=self.full_scan)
+            leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True)
             if leaks:
                 raise self._violation(
                     "pin_leak", kernel, boundary,
                     f"{len(leaks)} leaked pins",
                     leaks=[asdict(leak) for leak in leaks])
-        if stamp is not None:
-            self._clean[index] = stamp
+        self._clean[index] = stamp
 
     def _violation(self, kind: str, kernel, boundary: str,
                    detail: str, **extra) -> InvariantViolation:

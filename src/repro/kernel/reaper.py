@@ -141,9 +141,7 @@ class OrphanReaper:
         """Run as a daemon: scan every ``interval_ns`` of simulated time.
 
         Rides the clock's event calendar: one pending event at a time,
-        rescheduled after each firing.  (The legacy per-charge
-        ``clock.subscribe`` cadence was retired once E18 established the
-        A/B baseline — the calendar is the only model now.)
+        rescheduled after each firing.
         """
         if self._event is None or not self._event.pending:
             self._event = self.kernel.clock.schedule_after(

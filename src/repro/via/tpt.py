@@ -156,7 +156,7 @@ class MemoryRegion:
     valid: bool = True
     #: on-demand-paging region: entries may carry :data:`INVALID_FRAME`
     #: and translation must check per-page validity (non-ODP regions
-    #: skip that walk entirely, keeping the legacy fast path unchanged)
+    #: skip that walk entirely, keeping their fast path unchanged)
     odp: bool = False
     #: opaque cookie the locking backend returned; owned by the Kernel
     #: Agent, carried here so deregistration can find it
@@ -230,8 +230,8 @@ class TranslationProtectionTable:
     the registration cache.
 
     ``clock``/``costs`` are optional: when provided (the NIC wires its
-    kernel's in), translation charges simulated time per extent, per
-    page, or per cache hit, depending on which path served it.  So is
+    kernel's in), translation charges simulated time per extent on a
+    miss, or once per cache hit.  So is
     ``seq``, the machine's state sequence number that installs, removals
     and recorded-frame writes bump (a standalone table gets its own).
     """
@@ -241,6 +241,10 @@ class TranslationProtectionTable:
                  translation_cache_entries: int =
                  DEFAULT_TRANSLATION_CACHE_ENTRIES, events=None,
                  seq: StateSeq | None = None) -> None:
+        if translation_cache_entries < 1:
+            raise ValueError(
+                f"translation_cache_entries must be >= 1, got "
+                f"{translation_cache_entries}")
         self.seq = seq if seq is not None else StateSeq()
         self.capacity_entries = capacity_entries
         self.regions: dict[int, MemoryRegion] = {}
@@ -249,10 +253,7 @@ class TranslationProtectionTable:
         self._costs = costs
         #: analysis EventHub for TPT lifecycle events (optional)
         self._events = events
-        #: serve translations from coalesced extents (False restores the
-        #: legacy per-page walk for A/B benchmarking)
-        self.coalesce_extents = True
-        #: bounded LRU of memoized translations; 0 disables
+        #: capacity of the bounded LRU of memoized translations
         self.translation_cache_entries = translation_cache_entries
         self._xcache: OrderedDict[tuple, tuple] = OrderedDict()
         self._xcache_by_handle: dict[int, set[tuple]] = {}
@@ -448,34 +449,24 @@ class TranslationProtectionTable:
 
         version = region.frames_version
         key = (handle, va, length)
-        if self.translation_cache_entries > 0:
-            cached = self._xcache.get(key)
-            if cached is not None and version is not None \
-                    and cached[1] == version:
-                self._xcache.move_to_end(key)
-                self.cache_hits += 1
-                self._charge(self._costs.tpt_cache_hit_ns
-                             if self._costs else 0)
-                events = self._events
-                if events is not None and events.active:
-                    events.emit(TPT_TRANSLATE, handle=handle, va=va,
-                                length=length, cached=True)
-                return list(cached[0])
-            self.cache_misses += 1
+        cached = self._xcache.get(key)
+        if cached is not None and version is not None \
+                and cached[1] == version:
+            self._xcache.move_to_end(key)
+            self.cache_hits += 1
+            self._charge(self._costs.tpt_cache_hit_ns
+                         if self._costs else 0)
+            events = self._events
+            if events is not None and events.active:
+                events.emit(TPT_TRANSLATE, handle=handle, va=va,
+                            length=length, cached=True)
+            return list(cached[0])
+        self.cache_misses += 1
 
-        if self.coalesce_extents:
-            segments = self._translate_extents(region, va, length)
-            if self._costs is not None:
-                self._charge(len(segments)
-                             * self._costs.tpt_translate_extent_ns)
-        else:
-            segments = self._translate_pages(region, va, length)
-            if self._costs is not None:
-                self._charge(len(segments)
-                             * self._costs.tpt_translate_page_ns)
-
-        if self.translation_cache_entries > 0:
-            self._cache_put(key, segments, version)
+        segments = self._translate_extents(region, va, length)
+        if self._costs is not None:
+            self._charge(len(segments) * self._costs.tpt_translate_extent_ns)
+        self._cache_put(key, segments, version)
         events = self._events
         if events is not None and events.active:
             events.emit(TPT_TRANSLATE, handle=handle, va=va,
@@ -501,24 +492,6 @@ class TranslationProtectionTable:
             rel += n
             remaining -= n
             idx += 1
-        return segments
-
-    @staticmethod
-    def _translate_pages(region: MemoryRegion, va: int, length: int
-                         ) -> list[tuple[int, int]]:
-        """The legacy page-by-page walk (one segment per page)."""
-        segments: list[tuple[int, int]] = []
-        remaining = length
-        cursor = va
-        aligned_base = region.first_vpn * PAGE_SIZE
-        while remaining > 0:
-            page_index = (cursor - aligned_base) // PAGE_SIZE
-            offset = cursor % PAGE_SIZE
-            n = min(remaining, PAGE_SIZE - offset)
-            frame = region.frames[page_index]
-            segments.append((frame * PAGE_SIZE + offset, n))
-            cursor += n
-            remaining -= n
         return segments
 
     @property

@@ -8,6 +8,9 @@ from repro.errors import PageAccountingError
 from repro.kernel.pagemap import PageMap
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
+from tests.reference_audits import (
+    full_check_free_list, full_kernel_invariants, full_pin_leaks,
+)
 
 
 @pytest.fixture
@@ -101,7 +104,7 @@ class TestFreeListAudit:
     def test_fast_and_full_paths_accept_a_clean_map(self, pm):
         pm.alloc()
         pm.check_free_list()
-        pm.check_free_list(full_scan=True)
+        full_check_free_list(pm)
 
     def test_both_paths_catch_nonzero_count_on_free_frame(self, pm):
         frame = pm._free[-1]
@@ -109,22 +112,22 @@ class TestFreeListAudit:
         with pytest.raises(PageAccountingError, match="refcount"):
             pm.check_free_list()
         with pytest.raises(PageAccountingError, match="refcount"):
-            pm.check_free_list(full_scan=True)
+            full_check_free_list(pm)
 
     def test_both_paths_catch_a_duplicate_free_entry(self, pm):
         pm._free.append(pm._free[-1])    # corrupt: same frame twice
         with pytest.raises(PageAccountingError):
             pm.check_free_list()
         with pytest.raises(PageAccountingError, match="twice"):
-            pm.check_free_list(full_scan=True)
+            full_check_free_list(pm)
 
 
 class TestFastAudits:
-    def test_pin_leak_fast_path_matches_full_scan(self, kernel):
+    def test_pin_leak_fast_path_matches_full_walk(self, kernel):
         pd = kernel.pagemap.alloc("leak")
         pd.pin()
         fast = audit_pin_leaks(kernel)
-        full = audit_pin_leaks(kernel, full_scan=True)
+        full = full_pin_leaks(kernel)
         assert fast == full
         assert len(fast) == 1 and fast[0].frame == pd.frame
         pd.unpin()
@@ -139,7 +142,7 @@ class TestFastAudits:
         with pytest.raises(PageAccountingError, match="pinned"):
             audit_kernel_invariants(kernel)
         with pytest.raises(PageAccountingError, match="pinned"):
-            audit_kernel_invariants(kernel, full_scan=True)
+            full_kernel_invariants(kernel)
         kernel.pagemap.table.set_pin_count(frame, 0)
         kernel.pagemap.table.counts[frame] = 1
         kernel.pagemap.put_page(frame)
@@ -151,6 +154,6 @@ class TestFastAudits:
         with pytest.raises(PageAccountingError, match="negative"):
             audit_kernel_invariants(kernel)
         with pytest.raises(PageAccountingError, match="negative"):
-            audit_kernel_invariants(kernel, full_scan=True)
+            full_kernel_invariants(kernel)
         kernel.pagemap.table.counts[frame] = 1
         kernel.pagemap.put_page(frame)

@@ -11,6 +11,7 @@ from repro.hw.physmem import PAGE_SIZE
 from repro.kernel.flags import VM_LOCKED, VM_READ, VM_WRITE
 from repro.kernel.vma import VMArea, VMAList
 from repro.via.tpt import TranslationProtectionTable
+from tests.reference_audits import translate_pages
 
 RW = VM_READ | VM_WRITE
 
@@ -117,11 +118,9 @@ class TestTPTProperties:
                     + off % PAGE_SIZE
                 pos += PAGE_SIZE - (off % PAGE_SIZE)
             expect += n
-        # Property 3: the legacy per-page walk agrees once adjacent
+        # Property 3: the reference per-page walk agrees once adjacent
         # segments are merged.
-        tpt.coalesce_extents = False
-        tpt.translation_cache_entries = 0
-        legacy = tpt.translate(region.handle, va_base + offset, length, 1)
+        legacy = translate_pages(region, va_base + offset, length)
 
         def merged(segments):
             spans = []

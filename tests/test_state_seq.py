@@ -23,10 +23,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import audit
-from repro.core.audit import (
-    InvariantWatchdog, audit_kernel_invariants, audit_pin_leaks,
-    audit_tpt_consistency,
-)
+from repro.core.audit import InvariantWatchdog, audit_tpt_consistency
 from repro.errors import (
     InvariantViolation, PageAccountingError, ReproError,
 )
@@ -37,6 +34,9 @@ from repro.kernel.reaper import OrphanReaper
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.machine import Cluster, Machine
 from repro.via.tpt import INVALID_FRAME
+from tests.reference_audits import (
+    UnstampedReaper, full_kernel_invariants, full_pin_leaks,
+)
 
 
 def _world(backend: str = "kiobuf") -> SimpleNamespace:
@@ -310,16 +310,6 @@ def test_unchanged_state_counts_the_check_but_skips_the_walks(walks):
     wd.disarm()
 
 
-def test_full_scan_never_skips(walks):
-    m = Machine()
-    wd = InvariantWatchdog(interval_ns=10**15, full_scan=True).arm(m)
-    for _ in range(3):
-        wd.check()
-    assert wd.checks_run == 3
-    assert len(walks) == 3
-    wd.disarm()
-
-
 def test_enabling_a_check_invalidates_the_stamp(walks):
     """A stamp taken with an audit switched off does not vouch for it."""
     w = _world()
@@ -455,7 +445,7 @@ def test_deferred_sightings_prevent_the_skip():
         released += reaper.scan().pins_force_released
     assert released == 1
     assert phases == list(range(reaper.max_attempts))
-    assert audit_pin_leaks(w.k, w.m.agent, full_scan=True) == []
+    assert full_pin_leaks(w.k, w.m.agent) == []
 
 
 def test_descriptor_deadline_prevents_the_skip():
@@ -476,21 +466,11 @@ def _full_audit_problem(m) -> bool:
     """The independent reference: the full-pass audits, which read the
     raw state and know nothing of sequence numbers."""
     try:
-        audit_kernel_invariants(m.kernel, full_scan=True)
+        full_kernel_invariants(m.kernel)
     except PageAccountingError:
         return True
     return bool(audit_tpt_consistency(m.agent)
-                or audit_pin_leaks(m.kernel, m.agent, count_kiobufs=True,
-                                   full_scan=True))
-
-
-class UnstampedReaper(OrphanReaper):
-    """Reference reaper: forgets its idle stamp before every scan
-    (drafted ones included), so it always walks every phase."""
-
-    def scan(self):
-        self._idle_stamp = None
-        return super().scan()
+                or full_pin_leaks(m.kernel, m.agent, count_kiobufs=True))
 
 
 def _report_key(report):

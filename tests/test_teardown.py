@@ -297,3 +297,11 @@ class TestInvariantWatchdog:
         wd.check()
         assert wd.checks_run == 1
         wd.disarm()
+
+    @pytest.mark.parametrize("interval_ns", [0, -1_000])
+    def test_non_positive_interval_rejected(self, interval_ns):
+        """A zero interval would reschedule the cadence at ``now``
+        inside its own dispatch pass and never return from the charge
+        that fired it; construction must refuse it."""
+        with pytest.raises(ValueError, match="interval_ns"):
+            InvariantWatchdog(interval_ns=interval_ns)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NotRegistered, ProtectionError, ViaError
 from repro.hw.physmem import PAGE_SIZE
 from repro.via.tpt import TranslationProtectionTable
+from tests.reference_audits import translate_pages
 
 TAG_A, TAG_B = 0x100, 0x200
 
@@ -70,12 +71,12 @@ class TestTranslation:
         assert segs == [(10 * PAGE_SIZE + PAGE_SIZE - 10, 20)]
 
     def test_multi_page_spans_legacy_walk(self):
-        """The per-page walk splits the same span at page boundaries."""
+        """The reference per-page walk splits the same span at page
+        boundaries."""
         tpt = TranslationProtectionTable()
-        tpt.coalesce_extents = False
         region = install(tpt, va=0x10000, npages=4)
         va = 0x10000 + PAGE_SIZE - 10
-        segs = tpt.translate(region.handle, va, 20, TAG_A)
+        segs = translate_pages(region, va, 20)
         assert segs == [(10 * PAGE_SIZE + PAGE_SIZE - 10, 10),
                         (11 * PAGE_SIZE, 10)]
 
@@ -136,8 +137,9 @@ class TestTranslation:
         """Regression: a multi-page region whose base is not
         page-aligned must index frames relative to the region's
         *aligned* base (``va // PAGE_SIZE``), not its raw ``va_base`` —
-        the two paths (extent and per-page) must agree byte-for-byte."""
-        tpt = TranslationProtectionTable(translation_cache_entries=0)
+        the extent path and the reference per-page walk must agree
+        byte-for-byte."""
+        tpt = TranslationProtectionTable()
         va = 0x10000 + 100
         # 2 * PAGE_SIZE bytes starting 100 bytes into a page touch three
         # pages; deliberately non-adjacent frames so nothing coalesces.
@@ -147,15 +149,11 @@ class TestTranslation:
         assert fast == [(7 * PAGE_SIZE + 100, PAGE_SIZE - 100),
                         (9 * PAGE_SIZE, PAGE_SIZE),
                         (13 * PAGE_SIZE, 100)]
-        tpt.coalesce_extents = False
-        legacy = tpt.translate(region.handle, va, 2 * PAGE_SIZE, TAG_A)
-        assert legacy == fast
+        assert translate_pages(region, va, 2 * PAGE_SIZE) == fast
         # A sub-span starting mid-way through the second page.
-        tpt.coalesce_extents = True
         off = PAGE_SIZE - 100 + 50        # 50 bytes into page 1
         fast = tpt.translate(region.handle, va + off, PAGE_SIZE, TAG_A)
-        tpt.coalesce_extents = False
-        legacy = tpt.translate(region.handle, va + off, PAGE_SIZE, TAG_A)
+        legacy = translate_pages(region, va + off, PAGE_SIZE)
         assert legacy == fast == [(9 * PAGE_SIZE + 50, PAGE_SIZE - 50),
                                   (13 * PAGE_SIZE, 50)]
 
@@ -233,13 +231,16 @@ class TestTranslationCache:
         tpt.translate(region.handle, 0x10000, 4, TAG_A)
         assert tpt.cache_misses == 4
 
-    def test_cache_disabled_by_zero_entries(self):
-        tpt = TranslationProtectionTable(translation_cache_entries=0)
-        region = install(tpt)
-        tpt.translate(region.handle, 0x10000, 4, TAG_A)
-        tpt.translate(region.handle, 0x10000, 4, TAG_A)
-        assert tpt.cached_translations == 0
-        assert (tpt.cache_hits, tpt.cache_misses) == (0, 0)
+    def test_cache_capacity_below_one_rejected(self):
+        """The cache is always on; a capacity below one would leave
+        ``_cache_put`` evicting from an empty cache."""
+        for entries in (0, -1):
+            with pytest.raises(ValueError,
+                               match="translation_cache_entries"):
+                TranslationProtectionTable(
+                    translation_cache_entries=entries)
+        assert TranslationProtectionTable(
+            translation_cache_entries=1).translation_cache_entries == 1
 
     def test_protection_checked_even_on_cached_span(self):
         """Memoization covers only the segment list — the protection
