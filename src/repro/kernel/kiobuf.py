@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.events import PIN, UNPIN
-from repro.errors import KiobufError, ProcessKilled
+from repro.errors import KiobufError
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel.fault import handle_fault
 from repro.kernel.flags import VM_WRITE
@@ -36,6 +36,9 @@ from repro.sim.faults import crash_if_due
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.kernel.task import Task
+
+#: the horizon of a calendar with nothing scheduled
+_NO_DEADLINE = 1 << 63
 
 
 @dataclass
@@ -67,6 +70,13 @@ class Kiobuf:
         return segs
 
 
+def _horizon(clock) -> int:
+    """Simulated ns a loop may owe before paying would reach the next
+    calendar deadline (unbounded when the calendar is empty)."""
+    deadline = clock.next_deadline_ns
+    return _NO_DEADLINE if deadline is None else deadline - clock.now_ns
+
+
 def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
                     nbytes: int, write: bool = True) -> Kiobuf:
     """Map ``[va, va+nbytes)`` of ``task`` into a kiobuf.
@@ -77,55 +87,89 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
     the kernel* — which is why the mechanism satisfies the mainline rule
     that drivers must not walk page tables themselves (Sec. 4.1).
 
+    The per-page walk and lock costs are owed in a local total and paid
+    as one charge under the deferred-charge rule (DESIGN.md §5.2): the
+    debt is settled exactly where a per-page charge would have reached a
+    calendar deadline, and before anything that reads the clock — the
+    fault handler, a crash point, a PIN emit — so every observer sees
+    the same simulated time as with one charge per page.
+
     Raises :class:`~repro.errors.SegmentationFault` (propagated from the
     fault handler) if the range is not fully mapped by VMAs or lacks
     write permission when ``write`` is requested.
     """
     if nbytes <= 0:
         raise KiobufError(f"cannot map {nbytes} bytes")
-    kernel.clock.charge(kernel.costs.kiobuf_setup_ns, "kiobuf")
+    clock = kernel.clock
+    costs = kernel.costs
+    clock.charge(costs.kiobuf_setup_ns, "kiobuf")
     start_vpn = va // PAGE_SIZE
     end_vpn = (va + nbytes - 1) // PAGE_SIZE + 1
-
+    walk_ns = costs.pagetable_walk_ns
+    lock_ns = costs.page_lock_ns
+    plan = kernel.fault_plan
+    events = kernel.events if kernel.events.active else None
+    get_and_pin = kernel.pagemap.table.get_and_pin
+    lookup = task.page_table.lookup
     frames: list[int] = []
-    pinned: list[int] = []
+    owed = 0
+    horizon = _horizon(clock)
+    # The previous page's VMA, dropped whenever other code ran (calendar
+    # callbacks, the fault handler) and could have changed the VMA list.
+    vma = None
+
+    def settle() -> None:
+        nonlocal owed
+        pay, owed = owed, 0
+        clock.charge(pay, "kiobuf")
+
     try:
         for vpn in range(start_vpn, end_vpn):
-            kernel.clock.charge(kernel.costs.pagetable_walk_ns, "kiobuf")
-            pte = task.page_table.lookup(vpn)
+            owed += walk_ns
+            if owed >= horizon:
+                settle()
+                horizon = _horizon(clock)
+                vma = None
+            pte = lookup(vpn)
             if pte is None or not pte.present or (
                     write and not pte.writable and pte.cow):
-                # Fault the page in (demand-zero, swap-in, or COW break).
-                handle_fault(kernel, task, vpn, write=write)
-                pte = task.page_table.lookup(vpn)
+                fault = True    # demand-zero, swap-in, or COW break
             else:
-                vma = task.vmas.find_or_fault(vpn)
-                if write and not (vma.flags & VM_WRITE):
-                    # Permission check identical to the fault path.
-                    handle_fault(kernel, task, vpn, write=True)
+                if vma is None or not vma.contains(vpn):
+                    vma = task.vmas.find_or_fault(vpn)
+                # Permission check identical to the fault path.
+                fault = write and not (vma.flags & VM_WRITE)
+            if fault:
+                settle()
+                handle_fault(kernel, task, vpn, write=write)
+                horizon = _horizon(clock)
+                vma = None
+                pte = lookup(vpn)
             assert pte is not None and pte.present
-            pd = kernel.pagemap.get_page(pte.frame)
-            pd.pin()
-            kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
-            frames.append(pte.frame)
-            pinned.append(pte.frame)
-            if kernel.events.active:
-                kernel.events.emit(PIN, frames=(pte.frame,), pid=task.pid)
-            # Crash point after each page pin: a death here leaves pins
-            # that predate the kiobuf record, so the exit-path sweep
-            # cannot see them — the unwind below must release them.
-            crash_if_due(kernel.fault_plan, kernel, task, "kiobuf.pin")
-    except ProcessKilled:
-        # The mapper itself died at a crash point.  The kill already ran
-        # the exit path, but these partial pins are invisible to it (no
-        # kiobuf record exists yet): unwind them here, then let the
-        # control-flow exception keep propagating.
-        _unwind_pins(kernel, pinned, task.pid)
-        raise
+            frame = pte.frame
+            get_and_pin(frame)
+            frames.append(frame)
+            owed += lock_ns
+            if owed >= horizon or events is not None or plan is not None:
+                settle()
+                if events is not None:
+                    events.emit(PIN, frames=(frame,), pid=task.pid)
+                # Crash point after each page pin: a death here leaves
+                # pins that predate the kiobuf record, so the exit-path
+                # sweep cannot see them — the unwind below must release
+                # them.
+                crash_if_due(plan, kernel, task, "kiobuf.pin")
+                horizon = _horizon(clock)
+                vma = None
     except Exception:
-        # Unwind partial pins so a failed map leaves no residue.
-        _unwind_pins(kernel, pinned, task.pid)
+        # Unwind partial pins so a failed map leaves no residue — also
+        # when the mapper itself died at a crash point: the kill already
+        # ran the exit path, but these pins are invisible to it (no
+        # kiobuf record exists yet).
+        settle()
+        _unwind_pins(kernel, frames, task.pid)
         raise
+    settle()
 
     kio = Kiobuf(kiobuf_id=kernel._next_kiobuf_id, pid=task.pid,
                  va=va, nbytes=nbytes, frames=frames)
@@ -150,16 +194,38 @@ def _unwind_pins(kernel: "Kernel", pinned: list[int], pid: int) -> None:
 def unmap_kiobuf(kernel: "Kernel", kio: Kiobuf) -> None:
     """Release a kiobuf: drop one pin and one reference per page.
 
+    The per-page lock costs are owed and paid as one charge under the
+    same deferred-charge rule as :func:`map_user_kiobuf`; a page whose
+    release frees its frame (traced with a timestamp) settles first.
+
     Unmapping the same kiobuf twice is an error (the kernel would corrupt
     counters; we raise instead).
     """
     if not kio.mapped:
         raise KiobufError(f"kiobuf {kio.kiobuf_id} already unmapped")
-    for frame in kio.frames:
-        pd = kernel.pagemap.page(frame)
-        pd.unpin()
-        kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
-        kernel.pagemap.put_page(frame)
+    clock = kernel.clock
+    lock_ns = kernel.costs.page_lock_ns
+    pagemap = kernel.pagemap
+    table = pagemap.table
+    counts = table.counts
+    owed = 0
+    horizon = _horizon(clock)
+    try:
+        for frame in kio.frames:
+            if owed + lock_ns < horizon and counts[frame] > 1:
+                table.unpin_and_put(frame)
+                owed += lock_ns
+                continue
+            # This page's charge reaches a deadline, or its put_page may
+            # free the frame: pay between the unpin and the put, as the
+            # per-page charge did.
+            table.decr_pin(frame)
+            pay, owed = owed + lock_ns, 0
+            clock.charge(pay, "kiobuf")
+            pagemap.put_page(frame)
+            horizon = _horizon(clock)
+    finally:
+        clock.charge(owed, "kiobuf")
     kio.mapped = False
     kernel.kiobufs.pop(kio.kiobuf_id, None)
     kernel.state_seq.bump()

@@ -156,6 +156,32 @@ class FrameTable:
             self.pinned.discard(frame)
         self.seq.bump()
 
+    def get_and_pin(self, frame: int) -> None:
+        """Take one reference and one pin on an in-use ``frame`` — the
+        kiobuf map step, as one mutation."""
+        if self.counts[frame] == 0:
+            raise PageAccountingError(f"get_page on free frame {frame}")
+        self.counts[frame] += 1
+        self.pin_counts[frame] += 1
+        self.pinned.add(frame)
+        self.seq.bump()
+
+    def unpin_and_put(self, frame: int) -> None:
+        """Drop one pin and one reference from ``frame`` — the kiobuf
+        unmap step, as one mutation.  Only for a frame that keeps
+        another reference: freeing one is ``PageMap.put_page``'s job."""
+        if self.pin_counts[frame] <= 0:
+            raise PageAccountingError(
+                f"pin-count underflow on frame {frame}")
+        if self.counts[frame] <= 1:
+            raise PageAccountingError(
+                f"unpin_and_put would free frame {frame}")
+        self.counts[frame] -= 1
+        self.pin_counts[frame] -= 1
+        if self.pin_counts[frame] == 0:
+            self.pinned.discard(frame)
+        self.seq.bump()
+
     def set_tag(self, frame: int, tag: str) -> None:
         """Set ``frame``'s debugging label, keeping the orphan-candidate
         set in step."""

@@ -316,7 +316,7 @@ class MpiRank:
         desc = Descriptor.rdma_write(
             [DataSegment(sreg.handle, pending.va, pending.nbytes)],
             remote_handle=env.arg0, remote_va=env.arg1)
-        ep.ua.post_send(ep.vi, desc)
+        ep.post_send(desc)
         if desc.status != "VIP_SUCCESS":
             raise ViaError(f"rendezvous RDMA failed: {desc.status}",
                            status=desc.status)

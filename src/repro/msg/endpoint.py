@@ -92,6 +92,21 @@ class Endpoint:
 
     # -- basic messaging --------------------------------------------------------
 
+    def post_send(self, desc: Descriptor) -> None:
+        """Post a send or RDMA write on this endpoint's VI and reap its
+        completion.
+
+        The VI has no send CQ, so a finished descriptor lands on the
+        VI's done list; reaping it here keeps that list from growing by
+        one descriptor per message.  The post completes synchronously,
+        so the descriptor reaped must be the one just posted.  Callers
+        check ``desc.status``.
+        """
+        self.ua.post_send(self.vi, desc)
+        if self.ua.send_done(self.vi) is not desc:
+            raise ViaError("reaped a send completion that was not the "
+                           "descriptor just posted")
+
     def send_chunk(self, data: bytes, immediate: bytes | None = None) -> None:
         """Copy ``data`` (≤ CHUNK) into staging and send it."""
         if len(data) > self.CHUNK:
@@ -103,7 +118,7 @@ class Endpoint:
             [DataSegment(self.staging_reg.handle, self._staging_va,
                          len(data))],
             immediate=immediate)
-        self.ua.post_send(self.vi, desc)
+        self.post_send(desc)
         if desc.status != "VIP_SUCCESS":
             raise ViaError(f"send failed: {desc.status}",
                            status=desc.status)

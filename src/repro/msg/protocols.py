@@ -346,7 +346,7 @@ class RendezvousZeroCopyProtocol(Protocol):
         desc = Descriptor.rdma_write(
             [DataSegment(sreg.handle, src_va, nbytes)],
             remote_handle=rhandle, remote_va=rva)
-        sender.ua.post_send(sender.vi, desc)
+        sender.post_send(desc)
         if desc.status != "VIP_SUCCESS":
             raise ViaError(f"RDMA write failed: {desc.status}",
                            status=desc.status)

@@ -182,6 +182,20 @@ class SimClock:
         """A copy of the per-category totals."""
         return dict(self._by_category)
 
+    @property
+    def next_deadline_ns(self) -> int | None:
+        """Deadline of the earliest calendar entry, or None when the
+        calendar is empty.
+
+        A cancelled entry counts until it surfaces, so the value may be
+        earlier than the next callback that will actually run — never
+        later.  Code that folds several per-item charges into one reads
+        it to know how far it may defer: a charge that brings ``now_ns``
+        to this deadline is the one that dispatches.
+        """
+        events = self._events
+        return events[0][0] if events else None
+
     # -- charging ---------------------------------------------------------
 
     def charge(self, ns: int, category: str = "uncategorized") -> None:

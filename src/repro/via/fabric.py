@@ -13,6 +13,15 @@ an :class:`Attempt` — delivered-and-ACKed, dropped, NACKed (the
 link-layer CRC caught corruption), or delivered-but-ACK-lost — and the
 *NIC* runs the retransmission protocol on top
 (:meth:`~repro.via.nic.VIANic._transmit_reliable`).
+
+The link CRC is lazy.  A RELIABLE sender flags its data packets
+(``Packet.link_crc``) instead of stamping a checksum, and the fabric
+computes :func:`payload_checksum` only when a fault plan replaced the
+payload on the wire, comparing the corrupted copy against the original.
+That is the comparison an eager stamp-and-verify makes, so NACKs, drops
+and retransmits are unchanged; a healthy delivery hands the receiver
+the very ``bytes`` object the sender built and computes no CRC at all.
+The CRC never cost simulated time, so the timeline is unchanged too.
 """
 
 from __future__ import annotations
@@ -34,8 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def payload_checksum(payload: bytes) -> int:
-    """The link-layer CRC a NIC stamps on (and verifies against) a
-    packet's payload."""
+    """The link-layer CRC of a packet's payload."""
     return zlib.crc32(payload)
 
 
@@ -62,8 +70,8 @@ class Packet:
     add: int | None = None
     #: sequence number on RELIABLE VIs (0 = unsequenced)
     seq: int = 0
-    #: link-layer CRC of ``payload`` (None = sender did not stamp one)
-    checksum: int | None = None
+    #: the sender asked for a link-layer CRC check of ``payload``
+    link_crc: bool = False
 
 
 @dataclass
@@ -197,19 +205,9 @@ class Fabric:
         # Fast path: a healthy fabric (no fault plan, no legacy loss
         # rate) delivers without rolling for drops, corruption,
         # duplication, or ACK loss — the common case of the hot
-        # send/receive loop pays for none of the fault machinery.
+        # send/receive loop pays for none of the fault machinery, and
+        # no CRC: the payload arriving is the object that was sent.
         if plan is None and self.loss_rate == 0.0:
-            if (packet.checksum is not None
-                    and payload_checksum(packet.payload)
-                    != packet.checksum):
-                self.packets_nacked += 1
-                obs.inc("via.fabric.packets_nacked")
-                trace.emit("packet_nack", dst=packet.dst_nic,
-                           vi=packet.dst_vi, seq=packet.seq)
-                if reliability == ReliabilityLevel.UNRELIABLE:
-                    self.packets_dropped += 1
-                    return Attempt("dropped")
-                return Attempt("nack")
             status = self.nic(packet.dst_nic).deliver(packet, reliability)
             if reliability != ReliabilityLevel.UNRELIABLE:
                 self.acks_sent += 1
@@ -239,11 +237,12 @@ class Fabric:
             trace.emit("packet_corrupted", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq)
 
-        # Link-layer CRC check at the receiving NIC.  A sender that
-        # stamped no checksum (legacy/control path) is not verified.
-        if (wire_packet.checksum is not None
+        # Link-layer CRC check at the receiving NIC, for senders that
+        # asked for one.  Only a payload the wire replaced can fail it,
+        # so the CRC is computed for that payload and the original only.
+        if (wire_packet is not packet and packet.link_crc
                 and payload_checksum(wire_packet.payload)
-                != wire_packet.checksum):
+                != payload_checksum(packet.payload)):
             self.packets_nacked += 1
             obs.inc("via.fabric.packets_nacked")
             trace.emit("packet_nack", dst=packet.dst_nic,

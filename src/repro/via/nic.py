@@ -37,7 +37,7 @@ from repro.via.constants import (
 )
 from repro.via.cq import CompletionQueue
 from repro.via.descriptor import Descriptor
-from repro.via.fabric import Packet, payload_checksum
+from repro.via.fabric import Packet
 from repro.via.tpt import TranslationProtectionTable
 from repro.via.vi import VirtualInterface
 
@@ -549,7 +549,7 @@ class VIANic:
         else:
             vi.tx_seq += 1
             packet.seq = vi.tx_seq
-            packet.checksum = payload_checksum(payload)
+            packet.link_crc = True
             status = self._transmit_reliable(vi, packet)
 
         if status == VIP_SUCCESS or vi.reliability == \

@@ -8,16 +8,31 @@ tests need an oracle that shares none of that machinery: the whole-table
 walks and the page-by-page translation below read only the raw per-frame
 state and the recorded frames, so a bug in an index set or an extent map
 cannot hide by being present on both sides.
+
+The kiobuf map and unmap below are the per-page loops: one clock charge
+per page-table walk and per page lock, a VMA lookup per page, and the
+reference and pin taken through the page map one call at a time.  The
+production loops fold those charges into one under the deferred-charge
+rule; :func:`reference_kiobuf` swaps these in so a whole history can be
+replayed against them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
+from typing import Iterator
 
+import repro.kernel.kernel as kernel_module
+from repro.analysis.events import PIN, UNPIN
 from repro.core.audit import LeakedPin, expected_pins
-from repro.errors import PageAccountingError
+from repro.errors import KiobufError, PageAccountingError, ProcessKilled
 from repro.hw.physmem import PAGE_SIZE
+from repro.kernel.fault import handle_fault
+from repro.kernel.flags import VM_WRITE
+from repro.kernel.kiobuf import Kiobuf
 from repro.kernel.reaper import OrphanReaper
+from repro.sim.faults import crash_if_due
 
 
 def full_check_free_list(pagemap) -> None:
@@ -106,3 +121,93 @@ class UnstampedReaper(OrphanReaper):
     def scan(self):
         self._idle_stamp = None
         return super().scan()
+
+
+def ref_map_user_kiobuf(kernel, task, va: int, nbytes: int,
+                        write: bool = True) -> Kiobuf:
+    """``map_user_kiobuf`` page by page, charging as it goes."""
+    if nbytes <= 0:
+        raise KiobufError(f"cannot map {nbytes} bytes")
+    kernel.clock.charge(kernel.costs.kiobuf_setup_ns, "kiobuf")
+    start_vpn = va // PAGE_SIZE
+    end_vpn = (va + nbytes - 1) // PAGE_SIZE + 1
+
+    frames: list[int] = []
+    pinned: list[int] = []
+    try:
+        for vpn in range(start_vpn, end_vpn):
+            kernel.clock.charge(kernel.costs.pagetable_walk_ns, "kiobuf")
+            pte = task.page_table.lookup(vpn)
+            if pte is None or not pte.present or (
+                    write and not pte.writable and pte.cow):
+                handle_fault(kernel, task, vpn, write=write)
+                pte = task.page_table.lookup(vpn)
+            else:
+                vma = task.vmas.find_or_fault(vpn)
+                if write and not (vma.flags & VM_WRITE):
+                    handle_fault(kernel, task, vpn, write=True)
+            assert pte is not None and pte.present
+            pd = kernel.pagemap.get_page(pte.frame)
+            pd.pin()
+            kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
+            frames.append(pte.frame)
+            pinned.append(pte.frame)
+            if kernel.events.active:
+                kernel.events.emit(PIN, frames=(pte.frame,), pid=task.pid)
+            crash_if_due(kernel.fault_plan, kernel, task, "kiobuf.pin")
+    except ProcessKilled:
+        _ref_unwind_pins(kernel, pinned, task.pid)
+        raise
+    except Exception:
+        _ref_unwind_pins(kernel, pinned, task.pid)
+        raise
+
+    kio = Kiobuf(kiobuf_id=kernel._next_kiobuf_id, pid=task.pid,
+                 va=va, nbytes=nbytes, frames=frames)
+    kernel._next_kiobuf_id += 1
+    kernel.kiobufs[kio.kiobuf_id] = kio
+    kernel.state_seq.bump()
+    kernel.trace.emit("kiobuf_map", kiobuf=kio.kiobuf_id, pid=task.pid,
+                      va=va, npages=len(frames))
+    return kio
+
+
+def _ref_unwind_pins(kernel, pinned: list[int], pid: int) -> None:
+    for frame in pinned:
+        pd = kernel.pagemap.page(frame)
+        pd.unpin()
+        kernel.pagemap.put_page(frame)
+    if pinned and kernel.events.active:
+        kernel.events.emit(UNPIN, frames=tuple(pinned), pid=pid)
+
+
+def ref_unmap_kiobuf(kernel, kio: Kiobuf) -> None:
+    """``unmap_kiobuf`` page by page, charging as it goes."""
+    if not kio.mapped:
+        raise KiobufError(f"kiobuf {kio.kiobuf_id} already unmapped")
+    for frame in kio.frames:
+        pd = kernel.pagemap.page(frame)
+        pd.unpin()
+        kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
+        kernel.pagemap.put_page(frame)
+    kio.mapped = False
+    kernel.kiobufs.pop(kio.kiobuf_id, None)
+    kernel.state_seq.bump()
+    if kernel.events.active:
+        kernel.events.emit(UNPIN, frames=tuple(kio.frames), pid=kio.pid)
+    kernel.trace.emit("kiobuf_unmap", kiobuf=kio.kiobuf_id, pid=kio.pid,
+                      npages=kio.npages)
+
+
+@contextmanager
+def reference_kiobuf() -> Iterator[None]:
+    """Route every kernel kiobuf map and unmap — the ``Kernel`` methods,
+    the exit path and the reaper's — through the per-page reference
+    loops for the duration of the block."""
+    saved = (kernel_module.map_user_kiobuf, kernel_module.unmap_kiobuf)
+    kernel_module.map_user_kiobuf = ref_map_user_kiobuf
+    kernel_module.unmap_kiobuf = ref_unmap_kiobuf
+    try:
+        yield
+    finally:
+        kernel_module.map_user_kiobuf, kernel_module.unmap_kiobuf = saved

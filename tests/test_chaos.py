@@ -7,8 +7,12 @@ descriptors with an honest error status — never silent corruption, and
 never a leaked pin once the dust settles.
 """
 
+import zlib
+
 import numpy as np
 import pytest
+
+import repro.via.fabric as fabric_module
 
 from repro.core.audit import (
     audit_kernel_invariants, audit_pin_leaks, audit_tpt_consistency,
@@ -20,9 +24,10 @@ from repro.msg.protocols import EagerProtocol, RendezvousZeroCopyProtocol
 from repro.sim.faults import FaultPlan
 from repro.via.constants import (
     VIP_ERROR_CONN_LOST, VIP_ERROR_NIC, VIP_ERROR_RESOURCE, VIP_SUCCESS,
-    ReliabilityLevel, ViState,
+    DescriptorType, ReliabilityLevel, ViState,
 )
 from repro.via.descriptor import Descriptor
+from repro.via.fabric import Packet
 from repro.via.machine import Cluster, Machine, connected_pair
 
 
@@ -193,6 +198,73 @@ class TestDuplicationAndCorruption:
         assert res.ok and not res.corrupt
         assert r.task.read(dst, nbytes) == data
         assert cluster.fabric.packets_dropped > 0
+        run_audits(cluster)
+
+
+class TestLinkCrc:
+    """The link CRC is computed only for a payload the wire replaced."""
+
+    def test_healthy_fabric_computes_no_crc(self, monkeypatch):
+        calls = []
+
+        def counting(payload):
+            calls.append(len(payload))
+            return zlib.crc32(payload)
+
+        monkeypatch.setattr(fabric_module, "payload_checksum", counting)
+        cluster, s, r = chaos_pair()
+        nbytes = 5 * PAGE_SIZE + 9
+        src, dst = alloc_buffers(s, r, nbytes)
+        data = payload_bytes(np.random.default_rng(3), nbytes)
+        s.task.write(src, data)
+        res = RendezvousZeroCopyProtocol().transfer(s, r, src, dst, nbytes)
+        assert res.ok and r.task.read(dst, nbytes) == data
+        assert cluster.fabric.packets_sent > 0
+        assert calls == []
+
+    def test_unreliable_corruption_is_dropped_silently(self):
+        """A corrupted packet that asked for the link check on an
+        UNRELIABLE VI fails it and is discarded: the sender sees
+        success, the receiver nothing, and the drop is counted."""
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
+            reliability=ReliabilityLevel.UNRELIABLE)
+        post_recv_buffer(ua_r, vi_r)
+        cluster.inject_faults(FaultPlan(seed=2, corrupt_rate=1.0))
+        fabric = cluster.fabric
+        packet = Packet(kind=DescriptorType.SEND, src_nic=cluster[0].nic.name,
+                        src_vi=vi_s.vi_id, dst_nic=cluster[1].nic.name,
+                        dst_vi=vi_r.vi_id, payload=b"payload" * 9,
+                        link_crc=True)
+        status = fabric.transmit(cluster[0].nic, packet,
+                                 ReliabilityLevel.UNRELIABLE)
+        assert status == VIP_SUCCESS
+        assert fabric.packets_dropped == 1
+        assert fabric.packets_nacked == 1
+        assert cluster.trace.count("packet_nack") == 1
+        assert not vi_r.recv_done
+
+    @pytest.mark.parametrize("seed,rate,nacked,packets", [
+        (21, 0.3, 13, 37), (5, 0.5, 28, 52)])
+    def test_seeded_corruption_matches_eager_crc(self, seed, rate, nacked,
+                                                 packets):
+        """Counts pinned from the eager stamp-and-verify CRC: the lazy
+        check NACKs exactly the same packets, and each NACK costs one
+        retransmit."""
+        cluster, s, r = chaos_pair()
+        nbytes = 3 * PAGE_SIZE + 77
+        src, dst = alloc_buffers(s, r, nbytes)
+        cluster.inject_faults(FaultPlan(seed=seed, corrupt_rate=rate))
+        rng = np.random.default_rng(seed)
+        proto = RendezvousZeroCopyProtocol(use_cache=True)
+        for _ in range(6):
+            data = payload_bytes(rng, nbytes)
+            s.task.write(src, data)
+            res = proto.transfer(s, r, src, dst, nbytes)
+            assert res.ok and r.task.read(dst, nbytes) == data
+        assert cluster.fabric.packets_nacked == nacked
+        assert sum(m.nic.retransmits for m in cluster.machines) == nacked
+        assert cluster.trace.count("packet_nack") == nacked
+        assert cluster.fabric.packets_sent == packets
         run_audits(cluster)
 
 

@@ -101,6 +101,20 @@ class TestRendezvous:
         assert copied < 2048
         assert r0.rendezvous_sent >= 1
 
+    def test_send_completions_are_reaped(self, world, bufs):
+        """The rendezvous RDMA write and every control chunk leave no
+        completed descriptor behind on any endpoint's VI."""
+        r0, r1 = world.rank(0), world.rank(1)
+        data = rand(64 * 1024, seed=3)
+        r0.task.write(bufs[0], data)
+        for tag in range(4):
+            req = r0.isend(1, 60 + tag, bufs[0], len(data))
+            r1.recv(0, 60 + tag, bufs[1], len(data))
+            req.wait()
+        for rank in (r0, r1):
+            for ep in rank.endpoints.values():
+                assert not ep.vi.send_done
+
     def test_rts_before_recv_posted(self, world, bufs):
         """RTS arrives unexpected; the later recv grants it."""
         r0, r1 = world.rank(0), world.rank(1)

@@ -174,6 +174,19 @@ class TestEndpointMechanics:
         s.send_control(b"hello-control")
         assert r.recv_control() == b"hello-control"
 
+    def test_rendezvous_reaps_every_send_completion(self, pair, rng):
+        """Control sends and the RDMA write complete on VIs without a
+        send CQ; each completion is reaped at its post, so none pile up
+        on either side's done list."""
+        cluster, s, r = pair
+        nbytes = 6 * PAGE_SIZE + 5
+        src, dst = alloc_buffers(s, r, nbytes)
+        s.task.write(src, payload_bytes(rng, nbytes))
+        proto = RendezvousZeroCopyProtocol(use_cache=True)
+        for _ in range(8):
+            assert proto.transfer(s, r, src, dst, nbytes).ok
+        assert not s.vi.send_done and not r.vi.send_done
+
 
 class TestMpiPair:
     def test_protocol_switching(self, pair):
