@@ -84,9 +84,10 @@ def expected_pins(kernel: "Kernel", agents: "Iterable[KernelAgent]",
                   count_kiobufs: bool = True) -> Counter[int]:
     """Pins per frame that live state explains: one per page of every
     registration recorded in ``agents``, plus (``count_kiobufs``) one
-    per page of every mapped kiobuf.  A frame absent from the tally is
-    explained by nothing.  The one tally the pin-leak audit and the
-    reaper's orphan and unexplained-pin scans all judge against."""
+    per page of every mapped kiobuf and one per page a running
+    ``map_user_kiobuf`` or ODP fault service has pinned so far.  A frame absent from the
+    tally is explained by nothing.  The one tally the pin-leak audit and
+    the reaper's orphan and unexplained-pin scans all judge against."""
     expected: Counter[int] = Counter()
     for agent in agents:
         for reg in agent.registrations.values():
@@ -95,6 +96,8 @@ def expected_pins(kernel: "Kernel", agents: "Iterable[KernelAgent]",
         for kio in kernel.kiobufs.values():
             if kio.mapped:
                 expected.update(kio.frames)
+        for frames in kernel.pins_in_flight.values():
+            expected.update(frames)
     return expected
 
 
@@ -123,9 +126,11 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
     (refcount-only) vacuously pass.
 
     ``count_kiobufs=True`` additionally accepts pins held by live
-    (mapped) kiobufs — required when sampling at arbitrary points (the
-    invariant watchdog's cadence), where a registration may legimately
-    be halfway built: pinned by its kiobuf but not yet recorded.
+    (mapped) kiobufs and by maps and ODP fault services still running
+    — required when sampling at arbitrary points (the invariant
+    watchdog's cadence), where a registration may legitimately be
+    halfway built: pinned by its kiobuf, or by a map or fault service
+    that has not recorded its pins yet.
 
     Only frames the page map's pinned set names can leak (a frame with
     zero pins never exceeds its expectation), so the audit is
@@ -341,8 +346,8 @@ class InvariantWatchdog:
                         f"{len(stale)} stale TPT entries",
                         stale=[asdict(s) for s in stale])
         if self.check_pins:
-            # count_kiobufs: a cadence sample can land mid-registration,
-            # where the pin exists but the record does not yet.
+            # count_kiobufs: a cadence sample can land mid-registration
+            # or mid-map, where the pin exists but the record does not.
             leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True)
             if leaks:
                 raise self._violation(

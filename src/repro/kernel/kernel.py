@@ -26,7 +26,7 @@ from repro.kernel.kiobuf import Kiobuf, map_user_kiobuf, unmap_kiobuf
 from repro.kernel.mlock import (
     do_mlock, do_munlock, mlock_with_cap_dance, sys_mlock, sys_munlock,
 )
-from repro.kernel.page import PageDescriptor
+from repro.kernel.page import FrameSetView, PageDescriptor
 from repro.kernel.pagemap import PageMap
 from repro.kernel.stateseq import StateSeq
 from repro.kernel.task import Task
@@ -91,10 +91,15 @@ class Kernel:
         #: liveness: ``pid in kernel.tasks_by_pid``)
         self.tasks_by_pid: dict[int, Task] = {}
         self.min_free_pages = min_free_pages
-        #: simulated page/buffer cache: set of frames
-        self.page_cache: set[int] = set()
+        #: simulated page/buffer cache: a read-only set view of the frame
+        #: table's index of PG_PAGECACHE frames (the flag is the record)
+        self.page_cache = FrameSetView(self.pagemap.table.pagecache)
         #: live kiobufs by id
         self.kiobufs: dict[int, Kiobuf] = {}
+        #: frames pinned so far by each ``map_user_kiobuf`` or ODP fault
+        #: service still running, keyed by the id of its frame list:
+        #: pins whose kiobuf record or TPT entry does not exist yet
+        self.pins_in_flight: dict[int, list[int]] = {}
         self._next_pid = 1
         self._next_kiobuf_id = 1
         self._clock_hand = 0                    # shrink_mmap clock position
@@ -446,7 +451,6 @@ class Kernel:
         becomes a shrink_mmap reclaim candidate)."""
         pd = self.alloc_frame(tag="pagecache")
         pd.set_flag(PG_PAGECACHE)
-        self.page_cache.add(pd.frame)
         return pd
 
     def lock_page(self, frame: int) -> None:

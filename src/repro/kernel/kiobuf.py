@@ -112,6 +112,10 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
     get_and_pin = kernel.pagemap.table.get_and_pin
     lookup = task.page_table.lookup
     frames: list[int] = []
+    # Recorded before the first pin, so the pin audits and the reaper
+    # count pins that do not have a kiobuf record yet.
+    in_flight = kernel.pins_in_flight
+    in_flight[id(frames)] = frames
     owed = 0
     horizon = _horizon(clock)
     # The previous page's VMA, dropped whenever other code ran (calendar
@@ -168,6 +172,7 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
         # kiobuf record exists yet).
         settle()
         _unwind_pins(kernel, frames, task.pid)
+        del in_flight[id(frames)]
         raise
     settle()
 
@@ -175,6 +180,7 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
                  va=va, nbytes=nbytes, frames=frames)
     kernel._next_kiobuf_id += 1
     kernel.kiobufs[kio.kiobuf_id] = kio
+    del in_flight[id(frames)]
     kernel.state_seq.bump()
     kernel.trace.emit("kiobuf_map", kiobuf=kio.kiobuf_id, pid=task.pid,
                       va=va, npages=len(frames))

@@ -16,9 +16,10 @@ structure-of-arrays column store (``array('q')`` per numeric field) —
 and :class:`PageDescriptor` is a lightweight *view* binding one frame of
 one table.  This keeps cluster-scale page maps cheap (seven machine
 words per frame instead of a Python object per frame) and lets the
-table maintain incremental index sets (:attr:`FrameTable.pinned`,
-:attr:`FrameTable.orphan_candidates`) so the post-test audits and the
-orphan reaper stop scanning every frame.  A ``PageDescriptor``
+table maintain incremental indexes (:attr:`FrameTable.pinned`,
+:attr:`FrameTable.orphan_candidates`, :attr:`FrameTable.pagecache`) so
+the post-test audits, the orphan reaper and ``shrink_mmap`` stop
+scanning every frame.  A ``PageDescriptor``
 constructed standalone (as unit tests do) gets a private single-frame
 table and behaves exactly like the old dataclass.
 """
@@ -26,6 +27,9 @@ table and behaves exactly like the old dataclass.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
+from collections.abc import Set
+from typing import Iterator
 
 from repro.errors import PageAccountingError
 from repro.kernel.flags import (
@@ -43,7 +47,7 @@ class FrameTable:
 
     Numeric columns are ``array('q')`` (one signed machine word per
     frame, no per-frame Python objects); ``mappings`` and ``tags`` stay
-    Python lists because they hold tuples/strings.  Two index sets are
+    Python lists because they hold tuples/strings.  Three indexes are
     maintained *incrementally* by the mutators:
 
     ``pinned``
@@ -51,7 +55,10 @@ class FrameTable:
         only pinned frames instead of the whole table;
     ``orphan_candidates``
         frames whose ``tag == "orphan"`` — lets ``PageMap.orphans()``
-        and the reaper's orphan sweep skip the full-table scan.
+        and the reaper's orphan sweep skip the full-table scan;
+    ``pagecache``
+        frames with ``PG_PAGECACHE`` set, ascending — the only frames
+        ``shrink_mmap`` can free, bisected from its clock hand.
 
     All writes must go through the mutator methods here or through a
     :class:`PageDescriptor` view (whose setters delegate), so the index
@@ -63,7 +70,7 @@ class FrameTable:
 
     __slots__ = ("num_frames", "counts", "flags", "pin_counts", "ages",
                  "cow_shares", "mappings", "tags", "pinned",
-                 "orphan_candidates", "seq")
+                 "orphan_candidates", "pagecache", "seq")
 
     def __init__(self, num_frames: int, seq: StateSeq | None = None
                  ) -> None:
@@ -78,6 +85,7 @@ class FrameTable:
         self.tags: list[str] = [""] * num_frames
         self.pinned: set[int] = set()
         self.orphan_candidates: set[int] = set()
+        self.pagecache: list[int] = []
         #: the machine's audited-state sequence number; every mutator
         #: below bumps it (``ages`` excepted: no audit reads them)
         self.seq = seq if seq is not None else StateSeq()
@@ -104,19 +112,30 @@ class FrameTable:
         self.seq.bump()
         return self.counts[frame]
 
+    def _write_flags(self, frame: int, value: int) -> None:
+        """Store ``frame``'s flag word, keeping the page-cache index in
+        step."""
+        if (self.flags[frame] ^ value) & PG_PAGECACHE:
+            cache = self.pagecache
+            if value & PG_PAGECACHE:
+                insort(cache, frame)
+            else:
+                del cache[bisect_left(cache, frame)]
+        self.flags[frame] = value
+
     def set_flags(self, frame: int, value: int) -> None:
         """Set ``frame``'s whole PG_* flag word."""
-        self.flags[frame] = value
+        self._write_flags(frame, value)
         self.seq.bump()
 
     def set_flag_bits(self, frame: int, bits: int) -> None:
         """Set PG_* flag bits on ``frame``."""
-        self.flags[frame] |= bits
+        self._write_flags(frame, self.flags[frame] | bits)
         self.seq.bump()
 
     def clear_flag_bits(self, frame: int, bits: int) -> None:
         """Clear PG_* flag bits on ``frame``."""
-        self.flags[frame] &= ~bits
+        self._write_flags(frame, self.flags[frame] & ~bits)
         self.seq.bump()
 
     def set_mapping(self, frame: int,
@@ -195,7 +214,7 @@ class FrameTable:
     def reset_frame(self, frame: int, tag: str = "") -> None:
         """Alloc-time reset to a fresh single-reference state."""
         self.counts[frame] = 1
-        self.flags[frame] = 0
+        self._write_flags(frame, 0)
         self.set_pin_count(frame, 0)
         self.ages[frame] = 0
         self.mappings[frame] = None
@@ -204,7 +223,7 @@ class FrameTable:
 
     def scrub_identity(self, frame: int) -> None:
         """Free-time scrub of everything but the counters."""
-        self.flags[frame] = 0
+        self._write_flags(frame, 0)
         self.mappings[frame] = None
         self.cow_shares[frame] = 0
         self.set_tag(frame, "")
@@ -218,6 +237,30 @@ class FrameTable:
     def min_pin_count(self) -> int:
         """Smallest pin count across all frames (C-speed)."""
         return min(self.pin_counts) if self.pin_counts else 0
+
+
+class FrameSetView(Set[int]):
+    """Read-only set view of an ascending frame list — how
+    ``Kernel.page_cache`` exposes :attr:`FrameTable.pagecache`."""
+
+    __slots__ = ("_frames",)
+
+    def __init__(self, frames: list[int]) -> None:
+        self._frames = frames
+
+    def __contains__(self, frame: object) -> bool:
+        frames = self._frames
+        i = bisect_left(frames, frame)  # type: ignore[type-var]
+        return i < len(frames) and frames[i] == frame
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._frames)
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"FrameSetView({self._frames!r})"
 
 
 class PageDescriptor:
@@ -240,7 +283,7 @@ class PageDescriptor:
         # Standalone views always index slot 0 of their private table;
         # ``frame`` is just the reported frame number.
         table.counts[0] = count
-        table.flags[0] = flags
+        table.set_flags(0, flags)
         table.set_pin_count(0, pin_count)
         table.ages[0] = age
         table.mappings[0] = mapping

@@ -46,6 +46,10 @@ class PageTable:
     ``seq`` (see :mod:`repro.kernel.stateseq`).  The PTE bits callers
     set on a returned entry directly (``accessed``, ``dirty``,
     ``writable``, ``cow``) are read by no audit and do not.
+
+    Only these mutators flip an entry's ``present`` bit, so the table
+    keeps its count of present entries (the RSS) as they do:
+    :meth:`resident_count` is O(1).
     """
 
     def __init__(self, seq: StateSeq | None = None) -> None:
@@ -55,6 +59,8 @@ class PageTable:
         #: insert/remove, so sort once and invalidate on mutation
         #: instead of re-sorting on every walk
         self._sorted_vpns: list[int] | None = None
+        #: number of present entries, kept by the mutators below
+        self._present = 0
 
     def vpns(self) -> list[int]:
         """Every vpn with an entry, ascending (the cached sorted list;
@@ -81,6 +87,8 @@ class PageTable:
                     dirty: bool = False) -> PTE:
         """Install a present mapping ``vpn → frame``."""
         pte = self.ensure(vpn)
+        if not pte.present:
+            self._present += 1
         pte.present = True
         pte.frame = frame
         pte.writable = writable
@@ -93,6 +101,8 @@ class PageTable:
     def set_swapped(self, vpn: int, slot: int) -> PTE:
         """Mark ``vpn`` not-present with its contents in swap ``slot``."""
         pte = self.ensure(vpn)
+        if pte.present:
+            self._present -= 1
         pte.present = False
         pte.frame = -1
         pte.swap_slot = slot
@@ -101,7 +111,10 @@ class PageTable:
 
     def clear(self, vpn: int) -> None:
         """Remove any entry for ``vpn`` (munmap path)."""
-        if self._entries.pop(vpn, None) is not None:
+        pte = self._entries.pop(vpn, None)
+        if pte is not None:
+            if pte.present:
+                self._present -= 1
             self._sorted_vpns = None
             self.seq.bump()
 
@@ -128,4 +141,4 @@ class PageTable:
 
     def resident_count(self) -> int:
         """Number of present entries (the task's RSS in pages)."""
-        return sum(1 for _, pte in self.present_entries())
+        return self._present

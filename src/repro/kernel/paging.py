@@ -22,10 +22,18 @@ kiobuf ``pin_count`` are skipped like ``PG_locked`` pages.  Without any
 pin/lock/VM_LOCKED protection, an *elevated reference count alone does
 not stop the steal* — the page is written to swap, the PTE redirected,
 and ``__free_page`` merely orphans the frame.  That is the whole bug.
+
+Host cost is what reclaim steals, not what the machine holds: the clock
+hand still sweeps and is charged per frame, but the host visits only the
+frames in the frame table's page-cache index; ``swap_out`` reads each
+task's RSS as a kept count and walks from the task's hand only as far as
+the first page it steals.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.analysis.events import SWAP_OUT
@@ -85,16 +93,41 @@ def shrink_mmap(kernel: "Kernel", scan_budget: int) -> int:
     * not a page-cache page → not shrink_mmap's job (user pages belong
       to ``swap_out``),
     * ``PG_referenced`` → second chance: clear the bit, move on.
+
+    The clock hand still sweeps ``scan_budget`` frames and simulated
+    time is still charged per frame swept, but the host visits only the
+    frames in the frame table's page-cache index: no other frame can
+    pass the rules above.  The frames between two visits are paid as
+    one charge under the deferred-charge rule (DESIGN.md §5.2): a run
+    of frames ends where a per-frame charge would reach the next
+    calendar deadline, and the frame whose charge dispatched is checked
+    afterwards, as the per-frame loop did, with the hand and the index
+    re-read since a callback may have moved either.
     """
     pagemap = kernel.pagemap
-    freed = 0
-    scanned = 0
+    clock = kernel.clock
+    cost = kernel.costs.reclaim_scan_page_ns
+    cache = pagemap.table.pagecache
     n = pagemap.num_frames
-    while scanned < scan_budget:
-        frame = kernel._clock_hand
-        kernel._clock_hand = (kernel._clock_hand + 1) % n
-        scanned += 1
-        kernel.clock.charge(kernel.costs.reclaim_scan_page_ns, "reclaim")
+    freed = 0
+    left = scan_budget
+    while left > 0:
+        hand = kernel._clock_hand
+        # Sweep up to and including the next page-cache frame in clock
+        # order ...
+        step = left
+        if cache:
+            i = bisect_left(cache, hand)
+            nxt = cache[i] if i < len(cache) else cache[0]
+            step = min(step, (nxt - hand) % n + 1)
+        # ... or the frame whose charge reaches the next deadline.
+        deadline = clock.next_deadline_ns
+        if deadline is not None and cost:
+            step = min(step, max(1, -(-(deadline - clock.now_ns) // cost)))
+        frame = (hand + step - 1) % n
+        kernel._clock_hand = (hand + step) % n
+        left -= step
+        clock.charge(step * cost, "reclaim")
         pd = pagemap.page(frame)
         if pd.free or pd.locked or pd.reserved:
             continue
@@ -106,7 +139,6 @@ def shrink_mmap(kernel: "Kernel", scan_budget: int) -> int:
             pd.clear_flag(PG_REFERENCED)
             continue
         # Reclaim the cache page.
-        kernel.page_cache.discard(frame)
         pd.clear_flag(PG_PAGECACHE)
         pagemap.put_page(frame)
         kernel.obs.inc("kernel.paging.cache_reclaims")
@@ -165,21 +197,27 @@ def swap_out(kernel: "Kernel", want: int) -> int:
 
 
 def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
-    """``swap_out_process``: walk the task's VMAs from its clock hand and
-    steal the first eligible page.
+    """``swap_out_process``: walk the task's present pages from its clock
+    hand, wrapping once, and steal the first eligible page.  The walk
+    stops there, so a steal costs what it visits, not the task's RSS.
 
     Returns True if a frame was freed, False if a page was unmapped but
     the frame stayed referenced (orphaned), None if nothing was
     stealable.
     """
-    hand = kernel._task_swap_hand.get(task.pid, 0)
-    entries = [(vpn, pte) for vpn, pte in task.page_table.present_entries()]
-    if not entries:
+    page_table = task.page_table
+    if not page_table.resident_count():
         return None
-    # Rotate so the walk resumes where it left off.
-    order = [e for e in entries if e[0] >= hand] + \
-            [e for e in entries if e[0] < hand]
-    for vpn, pte in order:
+    lookup = page_table.lookup
+    vpns = page_table.vpns()
+    hand = bisect_left(vpns, kernel._task_swap_hand.get(task.pid, 0))
+    # Resume at the hand and wrap, reading each entry as the walk reaches
+    # it: an entry a callback unmapped or swapped out meanwhile is passed.
+    for i in chain(range(hand, len(vpns)), range(hand)):
+        vpn = vpns[i]
+        pte = lookup(vpn)
+        if pte is None or not pte.present:
+            continue
         kernel.clock.charge(kernel.costs.reclaim_scan_page_ns, "reclaim")
         vma = task.vmas.find(vpn)
         if vma is None:

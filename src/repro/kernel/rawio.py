@@ -85,7 +85,6 @@ def buffered_read(kernel: "Kernel", task: "Task", dev: BlockDevice,
         kernel.phys.write_frame(buf.frame, data)
         # The copy the kiobuf path eliminates:
         task.write(va + i * PAGE_SIZE, data)
-        kernel.page_cache.discard(buf.frame)
         kernel.pagemap.put_page(buf.frame)
     kernel.trace.emit("buffered_read", pid=task.pid, blocks=nblocks)
 
@@ -101,7 +100,6 @@ def buffered_write(kernel: "Kernel", task: "Task", dev: BlockDevice,
         kernel.phys.write_frame(buf.frame, data)
         dev.write_block(block + i,
                         kernel.phys.read_frame(buf.frame))
-        kernel.page_cache.discard(buf.frame)
         kernel.pagemap.put_page(buf.frame)
     kernel.trace.emit("buffered_write", pid=task.pid, blocks=nblocks)
 

@@ -362,9 +362,18 @@ class KernelAgent:
         task = kernel.find_task(reg.pid)
         crash_if_due(self.fault_plan, kernel, task, "odp_fault.start")
         kernel.clock.charge(kernel.costs.odp_fault_service_base_ns, "odp")
-        patched = self.backend.fault_in(kernel, task, cookie, pages)
-        crash_if_due(self.fault_plan, kernel, task, "odp_fault.pinned")
-        self.nic.tpt.patch(handle, patched)
+        # Pins the TPT does not show yet: explained to the pin audits and
+        # the reaper until the patch, across any faults in between.
+        pinned: list[int] = []
+        in_flight = kernel.pins_in_flight
+        in_flight[id(pinned)] = pinned
+        try:
+            patched = self.backend.fault_in(kernel, task, cookie, pages,
+                                            pinned)
+            crash_if_due(self.fault_plan, kernel, task, "odp_fault.pinned")
+            self.nic.tpt.patch(handle, patched)
+        finally:
+            del in_flight[id(pinned)]
         kernel.clock.charge(
             len(patched) * kernel.costs.tpt_update_ns, "odp")
         for index, frame in patched.items():

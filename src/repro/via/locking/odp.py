@@ -96,13 +96,16 @@ class OdpLocking(LockingBackend):
     # -- ODP-specific operations (driven by the KernelAgent) ----------------
 
     def fault_in(self, kernel: "Kernel", task: "Task", cookie: OdpCookie,
-                 pages: tuple[int, ...]) -> dict[int, int]:
+                 pages: tuple[int, ...],
+                 pinned: list[int] | None = None) -> dict[int, int]:
         """Fault + pin the given region-relative pages just-in-time.
 
         Returns page index → frame for every page now resident.  Each
         page is committed to ``cookie.resident`` immediately after its
         pin, so a kill landing anywhere downstream is cleaned up by the
-        exit path's ``unlock`` — never leaked, never double-freed.
+        exit path's ``unlock`` — never leaked, never double-freed.  Each
+        newly pinned frame is also appended to ``pinned`` when given
+        (the fault service's entry in ``kernel.pins_in_flight``).
         """
         patched: dict[int, int] = {}
         for index in pages:
@@ -112,6 +115,8 @@ class OdpLocking(LockingBackend):
                 continue
             frame = kernel.pin_user_page(task, cookie.start_vpn + index)
             cookie.resident[index] = frame
+            if pinned is not None:
+                pinned.append(frame)
             patched[index] = frame
         return patched
 

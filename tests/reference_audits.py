@@ -15,6 +15,12 @@ reference and pin taken through the page map one call at a time.  The
 production loops fold those charges into one under the deferred-charge
 rule; :func:`reference_kiobuf` swaps these in so a whole history can be
 replayed against them.
+
+The reclaim pieces are the rescanning originals: ``shrink_mmap``
+charging and checking every frame the clock hand sweeps,
+``_swap_out_task_one`` snapshotting every present entry and rotating
+the copy to the task's hand, and a ``resident_count`` that recounts the
+page table.  :func:`reference_reclaim` swaps them in.
 """
 
 from __future__ import annotations
@@ -24,13 +30,17 @@ from contextlib import contextmanager
 from typing import Iterator
 
 import repro.kernel.kernel as kernel_module
-from repro.analysis.events import PIN, UNPIN
+from repro.analysis.events import PIN, SWAP_OUT, UNPIN
 from repro.core.audit import LeakedPin, expected_pins
-from repro.errors import KiobufError, PageAccountingError, ProcessKilled
+from repro.errors import (
+    KiobufError, PageAccountingError, ProcessKilled, SwapFull,
+)
 from repro.hw.physmem import PAGE_SIZE
+from repro.kernel import paging
 from repro.kernel.fault import handle_fault
-from repro.kernel.flags import VM_WRITE
+from repro.kernel.flags import PG_PAGECACHE, PG_REFERENCED, VM_WRITE
 from repro.kernel.kiobuf import Kiobuf
+from repro.kernel.pagetable import PageTable
 from repro.kernel.reaper import OrphanReaper
 from repro.sim.faults import crash_if_due
 
@@ -132,8 +142,8 @@ def ref_map_user_kiobuf(kernel, task, va: int, nbytes: int,
     start_vpn = va // PAGE_SIZE
     end_vpn = (va + nbytes - 1) // PAGE_SIZE + 1
 
-    frames: list[int] = []
     pinned: list[int] = []
+    kernel.pins_in_flight[id(pinned)] = pinned
     try:
         for vpn in range(start_vpn, end_vpn):
             kernel.clock.charge(kernel.costs.pagetable_walk_ns, "kiobuf")
@@ -149,26 +159,28 @@ def ref_map_user_kiobuf(kernel, task, va: int, nbytes: int,
             assert pte is not None and pte.present
             pd = kernel.pagemap.get_page(pte.frame)
             pd.pin()
-            kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
-            frames.append(pte.frame)
             pinned.append(pte.frame)
+            kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
             if kernel.events.active:
                 kernel.events.emit(PIN, frames=(pte.frame,), pid=task.pid)
             crash_if_due(kernel.fault_plan, kernel, task, "kiobuf.pin")
     except ProcessKilled:
         _ref_unwind_pins(kernel, pinned, task.pid)
+        del kernel.pins_in_flight[id(pinned)]
         raise
     except Exception:
         _ref_unwind_pins(kernel, pinned, task.pid)
+        del kernel.pins_in_flight[id(pinned)]
         raise
 
     kio = Kiobuf(kiobuf_id=kernel._next_kiobuf_id, pid=task.pid,
-                 va=va, nbytes=nbytes, frames=frames)
+                 va=va, nbytes=nbytes, frames=pinned)
     kernel._next_kiobuf_id += 1
     kernel.kiobufs[kio.kiobuf_id] = kio
+    del kernel.pins_in_flight[id(pinned)]
     kernel.state_seq.bump()
     kernel.trace.emit("kiobuf_map", kiobuf=kio.kiobuf_id, pid=task.pid,
-                      va=va, npages=len(frames))
+                      va=va, npages=len(pinned))
     return kio
 
 
@@ -211,3 +223,126 @@ def reference_kiobuf() -> Iterator[None]:
         yield
     finally:
         kernel_module.map_user_kiobuf, kernel_module.unmap_kiobuf = saved
+
+
+def ref_shrink_mmap(kernel, scan_budget: int) -> int:
+    """``shrink_mmap`` frame by frame: one charge and one check per frame
+    the clock hand sweeps."""
+    pagemap = kernel.pagemap
+    freed = 0
+    scanned = 0
+    n = pagemap.num_frames
+    while scanned < scan_budget:
+        frame = kernel._clock_hand
+        kernel._clock_hand = (kernel._clock_hand + 1) % n
+        scanned += 1
+        kernel.clock.charge(kernel.costs.reclaim_scan_page_ns, "reclaim")
+        pd = pagemap.page(frame)
+        if pd.free or pd.locked or pd.reserved:
+            continue
+        if pd.count != 1:
+            continue
+        if not pd.in_page_cache:
+            continue
+        if pd.referenced:
+            pd.clear_flag(PG_REFERENCED)
+            continue
+        pd.clear_flag(PG_PAGECACHE)
+        pagemap.put_page(frame)
+        kernel.obs.inc("kernel.paging.cache_reclaims")
+        kernel.trace.emit("cache_reclaim", frame=frame)
+        freed += 1
+    return freed
+
+
+def ref_swap_out_task_one(kernel, task):
+    """``_swap_out_task_one`` over a snapshot of every present entry,
+    rotated to the task's hand."""
+    hand = kernel._task_swap_hand.get(task.pid, 0)
+    entries = [(vpn, pte) for vpn, pte in task.page_table.present_entries()]
+    if not entries:
+        return None
+    order = [e for e in entries if e[0] >= hand] + \
+            [e for e in entries if e[0] < hand]
+    for vpn, pte in order:
+        kernel.clock.charge(kernel.costs.reclaim_scan_page_ns, "reclaim")
+        vma = task.vmas.find(vpn)
+        if vma is None:
+            continue
+        if vma.locked:
+            kernel.obs.inc("kernel.paging.swap_skips.VM_LOCKED")
+            kernel.trace.emit("swap_skip", reason="VM_LOCKED",
+                              pid=task.pid, vpn=vpn)
+            continue
+        pd = kernel.pagemap.page(pte.frame)
+        if pd.locked:
+            kernel.obs.inc("kernel.paging.swap_skips.PG_locked")
+            kernel.trace.emit("swap_skip", reason="PG_locked",
+                              pid=task.pid, vpn=vpn, frame=pd.frame)
+            continue
+        if pd.reserved:
+            kernel.obs.inc("kernel.paging.swap_skips.PG_reserved")
+            kernel.trace.emit("swap_skip", reason="PG_reserved",
+                              pid=task.pid, vpn=vpn, frame=pd.frame)
+            continue
+        if pd.pinned:
+            if not any(hook(pd.frame)
+                       for hook in list(kernel.pin_eviction_hooks)):
+                kernel.obs.inc("kernel.paging.swap_skips.pinned")
+                kernel.trace.emit("swap_skip", reason="pinned",
+                                  pid=task.pid, vpn=vpn, frame=pd.frame)
+                continue
+            kernel.obs.inc("kernel.paging.swap_evictions.odp")
+        if pd.cow_shares > 0:
+            kernel.obs.inc("kernel.paging.swap_skips.cow_shared")
+            kernel.trace.emit("swap_skip", reason="cow_shared",
+                              pid=task.pid, vpn=vpn, frame=pd.frame)
+            continue
+        try:
+            slot = kernel.swap.alloc_slot()
+        except SwapFull:
+            return None
+        kernel.swap.write_page(slot, kernel.phys.read_frame(pd.frame))
+        task.page_table.set_swapped(vpn, slot)
+        pd.mapping = None
+        refs_before = pd.count
+        was_freed = kernel.pagemap.put_page(pd.frame)
+        if not was_freed:
+            pd.tag = "orphan"
+        kernel._task_swap_hand[task.pid] = vpn + 1
+        obs = kernel.obs
+        if obs.enabled:
+            obs.metrics.counter("kernel.paging.swap_outs").inc()
+            if not was_freed:
+                obs.metrics.counter("kernel.paging.orphaned_frames").inc()
+        if kernel.events.active:
+            kernel.events.emit(SWAP_OUT, pid=task.pid, vpn=vpn,
+                               frame=pd.frame, freed=was_freed,
+                               actor="reclaim")
+        kernel.trace.emit("swap_out", pid=task.pid, vpn=vpn,
+                          frame=pd.frame, slot=slot,
+                          refs_before=refs_before, freed=was_freed)
+        return was_freed
+    return None
+
+
+def ref_resident_count(page_table) -> int:
+    """``PageTable.resident_count`` as a recount of the entries."""
+    return sum(1 for _ in page_table.present_entries())
+
+
+@contextmanager
+def reference_reclaim() -> Iterator[None]:
+    """Route reclaim — ``shrink_mmap``, each ``swap_out`` steal and every
+    RSS read — through the rescanning reference for the duration of the
+    block."""
+    saved = (paging.shrink_mmap, paging._swap_out_task_one,
+             PageTable.resident_count)
+    paging.shrink_mmap = ref_shrink_mmap
+    paging._swap_out_task_one = ref_swap_out_task_one
+    PageTable.resident_count = ref_resident_count  # type: ignore
+    try:
+        yield
+    finally:
+        (paging.shrink_mmap, paging._swap_out_task_one,
+         PageTable.resident_count) = saved

@@ -118,3 +118,69 @@ class TestMapUserKiobuf:
         assert t.read(va, 4) == b"data"
         assert t.major_faults == 1
         kernel.unmap_kiobuf(kio)
+
+
+class TestPinsInFlight:
+    """Pins taken before their owner records them — by a running map
+    before its kiobuf exists, by an ODP fault service before its TPT
+    patch — are explained to the pin audits and the reaper."""
+
+    def test_watchdog_sample_inside_a_faulting_map(self):
+        """A pin-checking watchdog at a 1 µs cadence fires between the
+        demand-zero faults of one map (2 µs each) and finds no leak."""
+        from repro.via.machine import Machine
+        m = Machine(num_frames=128)
+        t = m.spawn("app")
+        va = t.mmap(8)
+        watchdog = m.arm_watchdog(interval_ns=1_000, check_pins=True)
+        checks = watchdog.checks_run
+        kio = m.kernel.map_user_kiobuf(t, va, 8 * PAGE_SIZE)
+        assert watchdog.checks_run > checks + 8
+        assert watchdog.violations == 0
+        assert m.kernel.pins_in_flight == {}
+        m.kernel.unmap_kiobuf(kio)
+        watchdog.disarm()
+
+    def test_reaper_drafted_by_reclaim_during_a_map(self):
+        """Reclaim that falls short inside a map's faults drafts the
+        reaper again and again; it must not count the map's own pins as
+        unexplained and strip them, or the unmap underflows."""
+        from repro.via.machine import Machine
+        m = Machine(num_frames=64, min_free_pages=8)
+        kernel = m.kernel
+        hog = m.spawn("hog")
+        hog_va = hog.mmap(50)
+        hog.touch_pages(hog_va, 50)
+        kernel.do_mlock(hog, hog_va, 50 * PAGE_SIZE)  # nothing stealable
+        reaper = m.start_reaper(interval_ns=10**12, backoff_base_ns=1)
+        t = m.spawn("app")
+        va = t.mmap(6)
+        kio = kernel.map_user_kiobuf(t, va, 6 * PAGE_SIZE)
+        assert reaper.scans >= reaper.max_attempts
+        assert all(kernel.pagemap.page(f).pin_count == 1
+                   for f in kio.frames)
+        kernel.unmap_kiobuf(kio)
+        assert kernel.pagemap.pinned_frames() == []
+        assert kernel.trace.count("reaper_pin_released") == 0
+
+    def test_reaper_drafted_during_an_odp_fault_service(self):
+        """The same for the ODP fault service: its pins are explained
+        from the first pin until the TPT patch names them."""
+        from repro.via.machine import Machine
+        m = Machine(num_frames=64, min_free_pages=8, backend="odp")
+        kernel = m.kernel
+        hog = m.spawn("hog")
+        hog_va = hog.mmap(50)
+        hog.touch_pages(hog_va, 50)
+        kernel.do_mlock(hog, hog_va, 50 * PAGE_SIZE)
+        reaper = m.start_reaper(interval_ns=10**12, backoff_base_ns=1)
+        t = m.spawn("app")
+        va = t.mmap(6)
+        reg = m.user_agent(t).register_mem(va, 6 * PAGE_SIZE)
+        patched = m.agent.service_translation_fault(reg.handle,
+                                                    tuple(range(6)))
+        assert reaper.scans >= reaper.max_attempts
+        assert all(kernel.pagemap.page(f).pin_count == 1
+                   for f in patched.values())
+        assert kernel.pins_in_flight == {}
+        assert kernel.trace.count("reaper_pin_released") == 0
