@@ -79,7 +79,7 @@ ATOMIC_RESPONSE_CACHE = 32
 DEFAULT_TPT_ENTRIES = 8192
 
 #: Default capacity of the NIC's translation cache, in cached spans
-#: (0 disables caching — the legacy per-packet walk).
+#: (must be at least 1; the TPT rejects a smaller capacity).
 DEFAULT_TRANSLATION_CACHE_ENTRIES = 1024
 
 #: Retransmission attempts a RELIABLE VI makes before declaring the

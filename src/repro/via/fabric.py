@@ -2,17 +2,17 @@
 
 Delivery is synchronous and deterministic: transmitting a packet calls
 straight into the destination NIC's delivery routine, charging wire
-latency to the (shared) simulated clock.  Faults can be injected two
-ways: the legacy ``loss_rate`` drops packets uniformly, and an installed
-:class:`~repro.sim.faults.FaultPlan` can additionally duplicate,
-corrupt, or delay them.
+latency to the (shared) simulated clock.  Faults come from one place:
+an installed :class:`~repro.sim.faults.FaultPlan` drops, duplicates,
+corrupts or delays packets; with no plan the fabric is healthy and
+takes a fast path that rolls for none of them.
 
 For ``UNRELIABLE`` VIs a drop is silent (fire-and-forget).  For the
 RELIABLE levels the fabric reports what happened to the sending NIC as
 an :class:`Attempt` — delivered-and-ACKed, dropped, NACKed (the
 link-layer CRC caught corruption), or delivered-but-ACK-lost — and the
-*NIC* runs the retransmission protocol on top
-(:meth:`~repro.via.nic.VIANic._transmit_reliable`).
+*NIC* runs the retransmission protocol on top, one loop for every verb
+(:meth:`~repro.via.nic.VIANic._reliable`).
 
 The link CRC is lazy.  A RELIABLE sender flags its data packets
 (``Packet.link_crc``) instead of stamping a checksum, and the fabric
@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.errors import ViaConnectionError
-from repro.sim.rng import make_rng
 from repro.via.constants import (
     VIP_ERROR_CONN_LOST, VIP_SUCCESS, DescriptorType, ReliabilityLevel,
     ViState,
@@ -76,25 +75,24 @@ class Packet:
 
 @dataclass
 class Attempt:
-    """Outcome of one wire attempt of a RELIABLE packet."""
+    """Outcome of one wire attempt (or, ``lost``, of a whole
+    retransmission run the sending NIC gave up on)."""
 
-    #: ``delivered`` | ``dropped`` | ``nack`` | ``ack_lost``
+    #: ``delivered`` | ``dropped`` | ``nack`` | ``ack_lost`` | ``lost``
     kind: str
-    #: receiver's completion status (``delivered``/``ack_lost`` only)
+    #: receiver's completion status (``delivered``/``ack_lost``/``lost``)
     status: str | None = None
-
-    @property
-    def acked(self) -> bool:
-        return self.kind == "delivered"
+    #: RDMA read: the fetched bytes
+    payload: bytes = b""
+    #: atomic: the target word's original value
+    original: int = 0
 
 
 class Fabric:
     """Registry of NICs plus the wire between them."""
 
-    def __init__(self, seed: int = 0, loss_rate: float = 0.0) -> None:
+    def __init__(self) -> None:
         self.nics: dict[str, "VIANic"] = {}
-        self.loss_rate = loss_rate
-        self._rng = make_rng(seed)
         self.packets_sent = 0
         self.packets_dropped = 0
         #: implicit hardware ACKs of RELIABLE deliveries (not counted as
@@ -178,11 +176,9 @@ class Fabric:
         nic.kernel.clock.charge(costs.dma_ns(nbytes), "wire")
 
     def _roll_drop(self) -> bool:
-        """One drop decision, combining the fault plan and the legacy
-        uniform ``loss_rate``."""
-        if self.fault_plan is not None and self.fault_plan.should_drop():
-            return True
-        return self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
+        """One drop decision (only a fault plan drops packets)."""
+        plan = self.fault_plan
+        return plan is not None and plan.should_drop()
 
     def attempt_delivery(self, src: "VIANic", packet: Packet,
                          reliability: ReliabilityLevel) -> Attempt:
@@ -202,25 +198,23 @@ class Fabric:
 
         self._charge_wire(src, len(packet.payload))
 
-        # Fast path: a healthy fabric (no fault plan, no legacy loss
-        # rate) delivers without rolling for drops, corruption,
-        # duplication, or ACK loss — the common case of the hot
-        # send/receive loop pays for none of the fault machinery, and
-        # no CRC: the payload arriving is the object that was sent.
-        if plan is None and self.loss_rate == 0.0:
+        # Fast path: a healthy fabric (no fault plan) delivers without
+        # rolling for drops, corruption, duplication, or ACK loss — the
+        # common case of the hot send/receive loop pays for none of the
+        # fault machinery, and no CRC: the payload arriving is the
+        # object that was sent.
+        if plan is None:
             status = self.nic(packet.dst_nic).deliver(packet, reliability)
             if reliability != ReliabilityLevel.UNRELIABLE:
                 self.acks_sent += 1
             return Attempt("delivered", status)
 
-        if plan is not None:
-            extra_ns = plan.delay()
-            if extra_ns:
-                src.kernel.clock.charge(extra_ns, "wire")
-                obs.inc("via.fabric.packets_delayed")
-                trace.emit("packet_delayed", dst=packet.dst_nic,
-                           vi=packet.dst_vi, seq=packet.seq,
-                           extra_ns=extra_ns)
+        extra_ns = plan.delay()
+        if extra_ns:
+            src.kernel.clock.charge(extra_ns, "wire")
+            obs.inc("via.fabric.packets_delayed")
+            trace.emit("packet_delayed", dst=packet.dst_nic,
+                       vi=packet.dst_vi, seq=packet.seq, extra_ns=extra_ns)
 
         if self._roll_drop():
             self.packets_dropped += 1
@@ -230,7 +224,7 @@ class Fabric:
             return Attempt("dropped")
 
         wire_packet = packet
-        if plan is not None and plan.should_corrupt():
+        if plan.should_corrupt():
             wire_packet = replace(packet,
                                   payload=plan.corrupt(packet.payload))
             obs.inc("via.fabric.packets_corrupted")
@@ -257,7 +251,7 @@ class Fabric:
         dst = self.nic(packet.dst_nic)
         status = dst.deliver(wire_packet, reliability)
 
-        if plan is not None and plan.should_duplicate():
+        if plan.should_duplicate():
             obs.inc("via.fabric.packets_duplicated")
             trace.emit("packet_duplicated", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq)
@@ -292,9 +286,9 @@ class Fabric:
         return VIP_ERROR_CONN_LOST
 
     def attempt_rdma_read(self, src: "VIANic", packet: Packet,
-                          reliability: ReliabilityLevel
-                          ) -> tuple[Attempt, bytes]:
-        """One round-trip attempt of an RDMA-read request.
+                          reliability: ReliabilityLevel) -> Attempt:
+        """One round-trip attempt of an RDMA-read request; a delivered
+        attempt carries the fetched ``payload``.
 
         The request and the response are each subject to loss; the
         response payload is subject to corruption (caught by CRC and
@@ -314,7 +308,7 @@ class Fabric:
             obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, rdma="read_req")
-            return Attempt("dropped"), b""
+            return Attempt("dropped")
 
         dst = self.nic(packet.dst_nic)
         status, payload = dst.serve_rdma_read(packet, reliability)
@@ -325,7 +319,7 @@ class Fabric:
             obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, rdma="read_resp")
-            return Attempt("dropped"), b""
+            return Attempt("dropped")
 
         if (status == VIP_SUCCESS and plan is not None
                 and plan.should_corrupt()):
@@ -333,23 +327,14 @@ class Fabric:
                        vi=packet.src_vi, seq=packet.seq, rdma="read_resp")
             self.packets_nacked += 1
             obs.inc("via.fabric.packets_nacked")
-            return Attempt("nack"), b""
+            return Attempt("nack")
 
-        return Attempt("delivered", status), payload
-
-    def rdma_read_fetch(self, src: "VIANic", packet: Packet,
-                        reliability: ReliabilityLevel
-                        ) -> tuple[str, bytes]:
-        """Single-shot RDMA-read round trip; returns (status, payload)."""
-        attempt, payload = self.attempt_rdma_read(src, packet, reliability)
-        if attempt.kind == "delivered":
-            return attempt.status, payload
-        return VIP_ERROR_CONN_LOST, b""
+        return Attempt("delivered", status, payload=payload)
 
     def attempt_atomic(self, src: "VIANic", packet: Packet,
-                       reliability: ReliabilityLevel
-                       ) -> tuple[Attempt, int]:
-        """One round-trip attempt of a remote atomic (CMPSWAP/FETCHADD).
+                       reliability: ReliabilityLevel) -> Attempt:
+        """One round-trip attempt of a remote atomic (CMPSWAP/FETCHADD);
+        a delivered attempt carries the word's ``original`` value.
 
         Shaped like :meth:`attempt_rdma_read`, with one crucial
         difference: an atomic is *not* idempotent.  When the response is
@@ -376,7 +361,7 @@ class Fabric:
             obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, atomic="req")
-            return Attempt("dropped"), 0
+            return Attempt("dropped")
 
         # Duplicate the *request*: the responder sees the same seq twice
         # and must serve the second from its dedup cache.
@@ -395,7 +380,7 @@ class Fabric:
             obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, atomic="resp")
-            return Attempt("dropped"), 0
+            return Attempt("dropped")
 
         if (status == VIP_SUCCESS and plan is not None
                 and plan.should_corrupt()):
@@ -403,6 +388,6 @@ class Fabric:
                        vi=packet.src_vi, seq=packet.seq, atomic="resp")
             self.packets_nacked += 1
             obs.inc("via.fabric.packets_nacked")
-            return Attempt("nack"), 0
+            return Attempt("nack")
 
-        return Attempt("delivered", status), original
+        return Attempt("delivered", status, original=original)

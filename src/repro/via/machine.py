@@ -55,7 +55,7 @@ class Machine:
             self.kernel, self.nic, backend=backend,
             tenant_quota_pages=tenant_quota_pages,
             host_pin_ceiling_pages=host_pin_ceiling_pages)
-        self.fabric = fabric if fabric is not None else Fabric(seed=seed)
+        self.fabric = fabric if fabric is not None else Fabric()
         self.fabric.attach(self.nic)
 
     @property
@@ -129,7 +129,7 @@ class Cluster:
         self.clock = SimClock()
         self.trace = Trace(self.clock)
         self.obs = Observability(self.clock)
-        self.fabric = Fabric(seed=seed)
+        self.fabric = Fabric()
         self.machines: list[Machine] = []
         for i in range(n):
             # Each machine gets its own backend instance (driver state is

@@ -19,7 +19,7 @@ descriptor completes with ``VIP_ERROR_CONN_LOST``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.events import DMA_RESUME, DMA_SUSPEND, DOORBELL
 from repro.errors import (
@@ -37,7 +37,7 @@ from repro.via.constants import (
 )
 from repro.via.cq import CompletionQueue
 from repro.via.descriptor import Descriptor
-from repro.via.fabric import Packet
+from repro.via.fabric import Attempt, Packet
 from repro.via.tpt import TranslationProtectionTable
 from repro.via.vi import VirtualInterface
 
@@ -186,85 +186,48 @@ class VIANic:
 
     # ----------------------------------------------------------- descriptor posting
 
-    def _charge_post(self) -> None:
-        costs = self.kernel.costs
-        self.kernel.clock.charge(costs.descriptor_build_ns, "via_cpu")
-        self.kernel.clock.charge(costs.doorbell_ring_ns, "via_cpu")
-        self.kernel.clock.charge(costs.descriptor_fetch_ns, "via_nic")
+    def _enqueue(self, vi: VirtualInterface, descs: "list[Descriptor]",
+                 pid: int, queue: str) -> None:
+        """Charge one post and queue its descriptors.
 
-    def _announce_post(self, descs: "list[Descriptor]", vi_id: int,
-                       pid: int, queue: str) -> None:
-        """Publish the post on the analysis stream: one DOORBELL per
+        Descriptor build is charged per entry, doorbell ring and
+        descriptor fetch once for the whole list — the amortization
+        linked descriptor lists buy on real VIA hardware (a single post
+        is a list of one).  The analysis stream gets one DOORBELL per
         descriptor, each carrying a fresh happens-before token the CQ's
-        COMPLETION event will acquire when the completion is observed."""
-        events = self.kernel.events
-        if not events.active:
-            return
+        COMPLETION event will acquire when the completion is observed.
+        """
+        kernel = self.kernel
+        costs = kernel.costs
+        clock = kernel.clock
+        clock.charge(costs.descriptor_build_ns * len(descs), "via_cpu")
+        clock.charge(costs.doorbell_ring_ns, "via_cpu")
+        clock.charge(costs.descriptor_fetch_ns, "via_nic")
+        now = clock.now_ns
+        events = kernel.events
+        if events.active:
+            for desc in descs:
+                desc.hb_token = self._next_hb_token
+                self._next_hb_token += 1
+                events.emit(DOORBELL, token=desc.hb_token, vi=vi.vi_id,
+                            pid=pid, queue=queue)
+        work = vi.send_queue if queue == "send" else vi.recv_queue
         for desc in descs:
-            desc.hb_token = self._next_hb_token
-            self._next_hb_token += 1
-            events.emit(DOORBELL, token=desc.hb_token, vi=vi_id,
-                        pid=pid, queue=queue)
+            desc.done = False
+            desc.status = VIP_NOT_DONE
+            desc.posted_at_ns = now
+            work.append(desc)
+        if kernel.obs.enabled:
+            kernel.obs.metrics.gauge(
+                f"via.nic.{queue}_queue_depth").set(len(work))
 
     def post_recv(self, vi_id: int, desc: Descriptor, pid: int) -> None:
         """Post a receive descriptor (must precede the matching send)."""
-        self.check_faults()
-        vi = self.vi(vi_id)
-        desc.validate()
-        if desc.dtype != DescriptorType.RECV:
-            raise DescriptorError(
-                f"cannot post a {desc.dtype.value} descriptor to a "
-                f"receive queue")
-        vi.recv_doorbell.ring(pid)
-        self._charge_post()
-        desc.done = False
-        desc.status = VIP_NOT_DONE
-        desc.posted_at_ns = self.kernel.clock.now_ns
-        self._announce_post([desc], vi_id, pid, "recv")
-        vi.recv_queue.append(desc)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge("via.nic.recv_queue_depth").set(
-                len(vi.recv_queue))
+        self.post_recv_many(vi_id, [desc], pid)
 
     def post_send(self, vi_id: int, desc: Descriptor, pid: int) -> None:
         """Post a send/RDMA descriptor and process it immediately."""
-        self.check_faults()
-        vi = self.vi(vi_id)
-        desc.validate()
-        if desc.dtype == DescriptorType.RECV:
-            raise DescriptorError(
-                "cannot post a recv descriptor to a send queue")
-        if (desc.dtype in ATOMIC_TYPES
-                and vi.reliability == ReliabilityLevel.UNRELIABLE):
-            raise DescriptorError(
-                "atomic verbs require a RELIABLE VI: sequence-number "
-                "dedup of retransmits is what makes them safe to replay")
-        vi.send_doorbell.ring(pid)
-        vi.require_connected()
-        self._charge_post()
-        desc.done = False
-        desc.status = VIP_NOT_DONE
-        desc.posted_at_ns = self.kernel.clock.now_ns
-        self._announce_post([desc], vi_id, pid, "send")
-        vi.send_queue.append(desc)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge("via.nic.send_queue_depth").set(
-                len(vi.send_queue))
-        self._process_send_queue(vi)
-
-    # -- batched posting -----------------------------------------------------
-
-    def _charge_post_batch(self, n: int) -> None:
-        """Charge one batch post: descriptor build per entry, doorbell
-        ring and descriptor fetch once for the whole batch — the
-        amortization linked descriptor lists buy on real VIA hardware."""
-        costs = self.kernel.costs
-        clock = self.kernel.clock
-        clock.charge(costs.descriptor_build_ns * n, "via_cpu")
-        clock.charge(costs.doorbell_ring_ns, "via_cpu")
-        clock.charge(costs.descriptor_fetch_ns, "via_nic")
+        self.post_send_many(vi_id, [desc], pid)
 
     def post_recv_many(self, vi_id: int, descs: "list[Descriptor]",
                        pid: int) -> int:
@@ -287,18 +250,7 @@ class VIANic:
                     f"cannot post a {desc.dtype.value} descriptor to a "
                     f"receive queue")
         vi.recv_doorbell.ring(pid)
-        self._charge_post_batch(len(descs))
-        now = self.kernel.clock.now_ns
-        self._announce_post(descs, vi_id, pid, "recv")
-        for desc in descs:
-            desc.done = False
-            desc.status = VIP_NOT_DONE
-            desc.posted_at_ns = now
-            vi.recv_queue.append(desc)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge("via.nic.recv_queue_depth").set(
-                len(vi.recv_queue))
+        self._enqueue(vi, descs, pid, "recv")
         return len(descs)
 
     def post_send_many(self, vi_id: int, descs: "list[Descriptor]",
@@ -328,18 +280,7 @@ class VIANic:
                     "replay")
         vi.send_doorbell.ring(pid)
         vi.require_connected()
-        self._charge_post_batch(len(descs))
-        now = self.kernel.clock.now_ns
-        self._announce_post(descs, vi_id, pid, "send")
-        for desc in descs:
-            desc.done = False
-            desc.status = VIP_NOT_DONE
-            desc.posted_at_ns = now
-            vi.send_queue.append(desc)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge("via.nic.send_queue_depth").set(
-                len(vi.send_queue))
+        self._enqueue(vi, descs, pid, "send")
         self._process_send_queue(vi)
         return len(descs)
 
@@ -443,29 +384,46 @@ class VIANic:
                 seg.mem_handle, seg.va, seg.length, vi.prot_tag))
         return segments
 
-    def _fail_send(self, vi: VirtualInterface, desc: Descriptor,
-                   status: str) -> None:
-        """Complete a send descriptor in error; break the connection for
-        reliable modes (VIA spec: errors are connection-fatal there)."""
-        self.protection_faults += 1
-        self.kernel.obs.inc("via.nic.protection_faults")
-        desc.complete(status)
+    # -- the VIA error policy -----------------------------------------------
+
+    def _fault(self, vi: VirtualInterface, reliability: ReliabilityLevel,
+               status: str, counter: str | None = None) -> str:
+        """Apply the VIA error policy to a data-path error on ``vi``.
+
+        ``counter`` names the NIC attribute the error is counted in (and
+        its ``via.nic.<counter>`` metric).  On UNRELIABLE VIs the error is
+        then silent: the returned status is ``VIP_SUCCESS``, all a sender
+        ever learns.  The RELIABLE levels treat it as connection-fatal:
+        the VI enters ``ERROR`` and ``status`` is returned.
+        """
+        if counter is not None:
+            setattr(self, counter, getattr(self, counter) + 1)
+            self.kernel.obs.inc(f"via.nic.{counter}")
+        if reliability == ReliabilityLevel.UNRELIABLE:
+            return VIP_SUCCESS
+        vi.enter_error()
+        return status
+
+    def _complete_send(self, vi: VirtualInterface, desc: Descriptor,
+                       length: int) -> None:
+        """Complete a send descriptor successfully."""
+        desc.complete(VIP_SUCCESS, length)
         vi.complete_send(desc)
-        self.kernel.trace.emit("via_send_error", nic=self.name,
-                               vi=vi.vi_id, status=status)
-        if vi.reliability != ReliabilityLevel.UNRELIABLE:
-            vi.enter_error()
+        if self.kernel.obs.enabled:
+            self._observe_completion(desc, "send")
+
+    def _fail_send(self, vi: VirtualInterface, desc: Descriptor,
+                   status: str, counter: str | None = None) -> None:
+        """Complete a send descriptor in error under :meth:`_fault`."""
+        desc.complete(status, 0)
+        vi.complete_send(desc)
+        self._fault(vi, vi.reliability, status, counter)
 
     def _fail_send_dma(self, vi: VirtualInterface, desc: Descriptor) -> None:
         """Complete a send descriptor whose local DMA faulted."""
-        self.dma_faults += 1
-        self.kernel.obs.inc("via.nic.dma_faults")
-        desc.complete(VIP_ERROR_NIC)
-        vi.complete_send(desc)
         self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                vi=vi.vi_id, side="send")
-        if vi.reliability != ReliabilityLevel.UNRELIABLE:
-            vi.enter_error()
+        self._fail_send(vi, desc, VIP_ERROR_NIC, "dma_faults")
 
     def _process_send_queue(self, vi: VirtualInterface) -> None:
         while vi.send_queue and vi.state == ViState.CONNECTED:
@@ -474,31 +432,39 @@ class VIANic:
 
     # -- the reliability protocol (sender side) ------------------------------
 
-    def _transmit_reliable(self, vi: VirtualInterface,
-                           packet: Packet) -> str:
-        """Transmit with retransmission until ACKed or the retry budget
-        is exhausted; returns the receiver's status, or
-        ``VIP_ERROR_CONN_LOST`` after giving up."""
-        assert self.fabric is not None
+    def _reliable(self, vi: VirtualInterface, packet: Packet,
+                  attempt: Callable[..., Attempt],
+                  **detail: str) -> Attempt:
+        """Run one fabric ``attempt`` per try until it is delivered or
+        the retry budget is exhausted.
+
+        A dropped request or response (or a lost ACK) waits out the
+        retransmission timer, which backs off exponentially (capped); a
+        NACK (the CRC caught corruption) is resent at once.  Retries are
+        safe for every verb: the receiver deduplicates data packets by
+        sequence number, an RDMA read is idempotent, and the responder
+        answers a replayed atomic from its response cache.  ``detail``
+        tags the ``via_retransmit`` trace with the verb.  Returns the
+        delivered attempt, or a ``lost`` one carrying
+        ``VIP_ERROR_CONN_LOST`` after giving up.
+        """
         clock = self.kernel.clock
         costs = self.kernel.costs
         trace = self.kernel.trace
         obs = self.kernel.obs
         timeout_ns = costs.retransmit_timeout_ns
-        for attempt in range(self.max_retransmits + 1):
-            if attempt:
+        for n in range(self.max_retransmits + 1):
+            if n:
                 self.retransmits += 1
                 if obs.enabled:
                     obs.metrics.counter("via.nic.retransmits").inc()
                 trace.emit("via_retransmit", nic=self.name, vi=vi.vi_id,
-                           seq=packet.seq, attempt=attempt)
-            outcome = self.fabric.attempt_delivery(self, packet,
-                                                   vi.reliability)
+                           seq=packet.seq, attempt=n, **detail)
+            outcome = attempt(self, packet, vi.reliability)
             if outcome.kind == "delivered":
-                return outcome.status
-            if outcome.kind in ("dropped", "ack_lost"):
-                # No ACK arrived: wait out the retransmission timer,
-                # then back off exponentially (capped).
+                return outcome
+            if outcome.kind != "nack":
+                # no answer: wait out the timer (a NACK resends at once)
                 clock.charge(timeout_ns, "retransmit")
                 if obs.enabled:
                     obs.metrics.counter(
@@ -508,12 +474,10 @@ class VIANic:
                            waited_ns=timeout_ns, cause=outcome.kind)
                 timeout_ns = min(int(timeout_ns * costs.retransmit_backoff),
                                  costs.retransmit_timeout_max_ns)
-            # NACK (CRC failure): the receiver asked for an immediate
-            # resend — no timer to wait for.
         obs.inc("via.nic.conn_lost")
         trace.emit("via_conn_lost", nic=self.name, vi=vi.vi_id,
                    seq=packet.seq, retries=self.max_retransmits)
-        return VIP_ERROR_CONN_LOST
+        return Attempt("lost", VIP_ERROR_CONN_LOST)
 
     def _execute_send(self, vi: VirtualInterface, desc: Descriptor) -> None:
         assert self.fabric is not None, "NIC not attached to a fabric"
@@ -524,7 +488,9 @@ class VIANic:
         try:
             local_segs = self._translate_local(vi, desc)
         except (ProtectionError, NotRegistered) as exc:
-            self._fail_send(vi, desc, exc.status)
+            self.kernel.trace.emit("via_send_error", nic=self.name,
+                                   vi=vi.vi_id, status=exc.status)
+            self._fail_send(vi, desc, exc.status, "protection_faults")
             return
 
         if desc.dtype == DescriptorType.RDMA_READ:
@@ -545,27 +511,23 @@ class VIANic:
             immediate=desc.immediate_data,
             remote_handle=desc.remote_handle, remote_va=desc.remote_va)
         if vi.reliability == ReliabilityLevel.UNRELIABLE:
-            status = self.fabric.transmit(self, packet, vi.reliability)
+            # fire and forget: whatever happened, the sender cannot tell
+            self.fabric.transmit(self, packet, vi.reliability)
+            status = VIP_SUCCESS
         else:
             vi.tx_seq += 1
             packet.seq = vi.tx_seq
             packet.link_crc = True
-            status = self._transmit_reliable(vi, packet)
-
-        if status == VIP_SUCCESS or vi.reliability == \
-                ReliabilityLevel.UNRELIABLE:
-            desc.complete(VIP_SUCCESS, len(payload))
-            vi.complete_send(desc)
-            if self.kernel.obs.enabled:
-                self._observe_completion(desc, "send")
-            if desc.dtype == DescriptorType.SEND:
-                self.sends_completed += 1
-            else:
-                self.rdma_writes_completed += 1
+            status = self._reliable(vi, packet,
+                                    self.fabric.attempt_delivery).status
+        if status != VIP_SUCCESS:
+            self._fail_send(vi, desc, status)
+            return
+        self._complete_send(vi, desc, len(payload))
+        if desc.dtype == DescriptorType.SEND:
+            self.sends_completed += 1
         else:
-            desc.complete(status, 0)
-            vi.complete_send(desc)
-            vi.enter_error()
+            self.rdma_writes_completed += 1
 
     def _execute_rdma_read(self, vi: VirtualInterface, desc: Descriptor,
                            local_segs: list[tuple[int, int]]) -> None:
@@ -577,26 +539,27 @@ class VIANic:
             remote_handle=desc.remote_handle, remote_va=desc.remote_va,
             read_length=desc.total_length)
         if vi.reliability == ReliabilityLevel.UNRELIABLE:
-            status, payload = self.fabric.rdma_read_fetch(self, packet,
-                                                          vi.reliability)
+            outcome = self.fabric.attempt_rdma_read(self, packet,
+                                                    vi.reliability)
         else:
-            status, payload = self._fetch_rdma_read_reliable(vi, packet)
+            outcome = self._reliable(vi, packet,
+                                     self.fabric.attempt_rdma_read,
+                                     rdma="read")
+        # an unreliable read that never came back is a lost connection
+        # to the requester — it is still waiting for the data
+        status = (outcome.status if outcome.status is not None
+                  else VIP_ERROR_CONN_LOST)
         if status != VIP_SUCCESS:
-            desc.complete(status, 0)
-            vi.complete_send(desc)
-            if vi.reliability != ReliabilityLevel.UNRELIABLE:
-                vi.enter_error()
+            self._fail_send(vi, desc, status)
             return
+        payload = outcome.payload
         try:
             self.dma.write_scatter(
                 _trim_segments(local_segs, len(payload)), payload)
         except DMAFault:
             self._fail_send_dma(vi, desc)
             return
-        desc.complete(VIP_SUCCESS, len(payload))
-        vi.complete_send(desc)
-        if self.kernel.obs.enabled:
-            self._observe_completion(desc, "send")
+        self._complete_send(vi, desc, len(payload))
         self.rdma_reads_completed += 1
 
     def _execute_atomic(self, vi: VirtualInterface, desc: Descriptor,
@@ -615,12 +578,12 @@ class VIANic:
         # response returns the cached original value, never a re-execute.
         vi.tx_seq += 1
         packet.seq = vi.tx_seq
-        status, original = self._fetch_atomic_reliable(vi, packet)
-        if status != VIP_SUCCESS:
-            desc.complete(status, 0)
-            vi.complete_send(desc)
-            vi.enter_error()
+        outcome = self._reliable(vi, packet, self.fabric.attempt_atomic,
+                                 atomic=packet.kind.value)
+        if outcome.status != VIP_SUCCESS:
+            self._fail_send(vi, desc, outcome.status)
             return
+        original = outcome.original
         try:
             self.dma.write_scatter(
                 local_segs, original.to_bytes(ATOMIC_OPERAND_BYTES,
@@ -629,99 +592,29 @@ class VIANic:
             self._fail_send_dma(vi, desc)
             return
         desc.atomic_original_value = original
-        desc.complete(VIP_SUCCESS, ATOMIC_OPERAND_BYTES)
-        vi.complete_send(desc)
+        self._complete_send(vi, desc, ATOMIC_OPERAND_BYTES)
         self.atomics_completed += 1
         obs = self.kernel.obs
         if obs.enabled:
-            self._observe_completion(desc, "send")
             obs.metrics.counter("via.atomic.completed").inc()
-
-    def _fetch_atomic_reliable(self, vi: VirtualInterface,
-                               packet: Packet) -> tuple[str, int]:
-        """Atomic round trip with retransmission.  Unlike RDMA reads a
-        retry is *not* a re-execute: the responder answers replayed
-        sequence numbers from its response cache."""
-        assert self.fabric is not None
-        clock = self.kernel.clock
-        costs = self.kernel.costs
-        trace = self.kernel.trace
-        obs = self.kernel.obs
-        timeout_ns = costs.retransmit_timeout_ns
-        for attempt in range(self.max_retransmits + 1):
-            if attempt:
-                self.retransmits += 1
-                if obs.enabled:
-                    obs.metrics.counter("via.nic.retransmits").inc()
-                trace.emit("via_retransmit", nic=self.name, vi=vi.vi_id,
-                           seq=packet.seq, attempt=attempt,
-                           atomic=packet.kind.value)
-            outcome, original = self.fabric.attempt_atomic(
-                self, packet, vi.reliability)
-            if outcome.kind == "delivered":
-                return outcome.status, original
-            if outcome.kind == "dropped":
-                clock.charge(timeout_ns, "retransmit")
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "via.nic.backoff_wait_ns").inc(timeout_ns)
-                trace.emit("via_retransmit_timeout", nic=self.name,
-                           vi=vi.vi_id, seq=packet.seq,
-                           waited_ns=timeout_ns, cause="dropped")
-                timeout_ns = min(int(timeout_ns * costs.retransmit_backoff),
-                                 costs.retransmit_timeout_max_ns)
-            # NACK (corrupt response): resend immediately; the responder
-            # dedups the replayed seq.
-        obs.inc("via.nic.conn_lost")
-        trace.emit("via_conn_lost", nic=self.name, vi=vi.vi_id,
-                   seq=packet.seq, retries=self.max_retransmits)
-        return VIP_ERROR_CONN_LOST, 0
-
-    def _fetch_rdma_read_reliable(self, vi: VirtualInterface,
-                                  packet: Packet) -> tuple[str, bytes]:
-        """RDMA-read round trip with retransmission (reads are
-        idempotent, so a retry simply re-fetches)."""
-        assert self.fabric is not None
-        clock = self.kernel.clock
-        costs = self.kernel.costs
-        trace = self.kernel.trace
-        obs = self.kernel.obs
-        timeout_ns = costs.retransmit_timeout_ns
-        for attempt in range(self.max_retransmits + 1):
-            if attempt:
-                self.retransmits += 1
-                if obs.enabled:
-                    obs.metrics.counter("via.nic.retransmits").inc()
-                trace.emit("via_retransmit", nic=self.name, vi=vi.vi_id,
-                           seq=packet.seq, attempt=attempt, rdma="read")
-            outcome, payload = self.fabric.attempt_rdma_read(
-                self, packet, vi.reliability)
-            if outcome.kind == "delivered":
-                return outcome.status, payload
-            if outcome.kind == "dropped":
-                clock.charge(timeout_ns, "retransmit")
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "via.nic.backoff_wait_ns").inc(timeout_ns)
-                trace.emit("via_retransmit_timeout", nic=self.name,
-                           vi=vi.vi_id, seq=packet.seq,
-                           waited_ns=timeout_ns, cause="dropped")
-                timeout_ns = min(int(timeout_ns * costs.retransmit_backoff),
-                                 costs.retransmit_timeout_max_ns)
-        obs.inc("via.nic.conn_lost")
-        trace.emit("via_conn_lost", nic=self.name, vi=vi.vi_id,
-                   seq=packet.seq, retries=self.max_retransmits)
-        return VIP_ERROR_CONN_LOST, b""
 
     # --------------------------------------------------------------- delivery side
 
-    def deliver(self, packet: Packet, reliability: ReliabilityLevel) -> str:
-        """Accept an inbound packet from the fabric; returns a status the
-        fabric relays to the sender."""
+    def _accept(self, packet: Packet) -> VirtualInterface | None:
+        """The VI an inbound packet is for, or None when no VI here is
+        connected to its sender (the fabric relays connection-lost)."""
         self.check_faults()
         vi = self.vis.get(packet.dst_vi)
         if vi is None or vi.state != ViState.CONNECTED or \
                 vi.peer != (packet.src_nic, packet.src_vi):
+            return None
+        return vi
+
+    def deliver(self, packet: Packet, reliability: ReliabilityLevel) -> str:
+        """Accept an inbound packet from the fabric; returns a status the
+        fabric relays to the sender."""
+        vi = self._accept(packet)
+        if vi is None:
             return VIP_ERROR_CONN_LOST
 
         # Deduplicate retransmits on RELIABLE VIs: a sequence number at
@@ -753,47 +646,32 @@ class VIANic:
                       reliability: ReliabilityLevel) -> str:
         if not vi.recv_queue:
             # "A receive descriptor ... has to be posted before the
-            # sender's data arrives."  Unreliable: silent drop.
-            # Reliable: the connection is broken.
-            self.recv_drops += 1
-            self.kernel.obs.inc("via.nic.recv_drops")
+            # sender's data arrives."
             self.kernel.trace.emit("via_recv_drop", nic=self.name,
                                    vi=vi.vi_id)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return VIP_ERROR_CONN_LOST
+            return self._fault(vi, reliability, VIP_ERROR_CONN_LOST,
+                               "recv_drops")
         desc = vi.recv_queue.popleft()
         if desc.total_length < len(packet.payload):
             desc.complete(VIP_DESCRIPTOR_ERROR, 0)
             vi.complete_recv(desc)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return VIP_DESCRIPTOR_ERROR
+            return self._fault(vi, reliability, VIP_DESCRIPTOR_ERROR)
         try:
             segs = self._translate_local(vi, desc)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
             desc.complete(exc.status, 0)
             vi.complete_recv(desc)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return exc.status
+            return self._fault(vi, reliability, exc.status,
+                               "protection_faults")
         try:
             self.dma.write_scatter(
                 _trim_segments(segs, len(packet.payload)), packet.payload)
         except DMAFault:
-            self.dma_faults += 1
             desc.complete(VIP_ERROR_NIC, 0)
             vi.complete_recv(desc)
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="recv")
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return VIP_ERROR_NIC
+            return self._fault(vi, reliability, VIP_ERROR_NIC, "dma_faults")
         desc.received_immediate = packet.immediate
         desc.complete(VIP_SUCCESS, len(packet.payload))
         self.kernel.clock.charge(self.kernel.costs.completion_post_ns,
@@ -813,46 +691,39 @@ class VIANic:
                 packet.remote_handle, packet.remote_va,
                 len(packet.payload), vi.prot_tag, rdma_write=True)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
             self.kernel.trace.emit("via_rdma_protfault", nic=self.name,
                                    vi=vi.vi_id, status=exc.status)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return exc.status
+            return self._fault(vi, reliability, exc.status,
+                               "protection_faults")
         try:
             self.dma.write_scatter(segs, packet.payload)
         except DMAFault:
-            self.dma_faults += 1
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="rdma_write")
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return VIP_ERROR_NIC
+            return self._fault(vi, reliability, VIP_ERROR_NIC, "dma_faults")
         # Immediate data makes the RDMA write visible to the receiver by
         # consuming one receive descriptor (VIA spec §2.2.2).
         if packet.immediate is not None:
             if not vi.recv_queue:
-                self.recv_drops += 1
-                if reliability == ReliabilityLevel.UNRELIABLE:
-                    return VIP_SUCCESS
-                vi.enter_error()
-                return VIP_ERROR_CONN_LOST
+                return self._fault(vi, reliability, VIP_ERROR_CONN_LOST,
+                                   "recv_drops")
             desc = vi.recv_queue.popleft()
             desc.received_immediate = packet.immediate
             desc.complete(VIP_SUCCESS, 0)
             vi.complete_recv(desc)
         return VIP_SUCCESS
 
+    # The responder side of the round-trip verbs.  The requester waits
+    # for the answer, so an error's status reaches it at every
+    # reliability level; the error policy only decides whether the
+    # responder's VI survives.
+
     def serve_rdma_read(self, packet: Packet,
                         reliability: ReliabilityLevel
                         ) -> tuple[str, bytes]:
         """Serve an inbound RDMA-read request: translate and fetch."""
-        self.check_faults()
-        vi = self.vis.get(packet.dst_vi)
-        if vi is None or vi.state != ViState.CONNECTED or \
-                vi.peer != (packet.src_nic, packet.src_vi):
+        vi = self._accept(packet)
+        if vi is None:
             return VIP_ERROR_CONN_LOST, b""
         assert packet.remote_handle is not None
         assert packet.remote_va is not None
@@ -861,18 +732,14 @@ class VIANic:
                 packet.remote_handle, packet.remote_va,
                 packet.read_length, vi.prot_tag, rdma_read=True)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
-            if reliability != ReliabilityLevel.UNRELIABLE:
-                vi.enter_error()
+            self._fault(vi, reliability, exc.status, "protection_faults")
             return exc.status, b""
         try:
             return VIP_SUCCESS, self.dma.read_gather(segs)
         except DMAFault:
-            self.dma_faults += 1
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="rdma_read")
-            if reliability != ReliabilityLevel.UNRELIABLE:
-                vi.enter_error()
+            self._fault(vi, reliability, VIP_ERROR_NIC, "dma_faults")
             return VIP_ERROR_NIC, b""
 
     def serve_atomic(self, packet: Packet,
@@ -886,10 +753,8 @@ class VIANic:
         response was lost *after* the RMW executed, and re-executing it
         would double-apply a FETCH_ADD or mis-judge a CMPSWAP.
         """
-        self.check_faults()
-        vi = self.vis.get(packet.dst_vi)
-        if vi is None or vi.state != ViState.CONNECTED or \
-                vi.peer != (packet.src_nic, packet.src_vi):
+        vi = self._accept(packet)
+        if vi is None:
             return VIP_ERROR_CONN_LOST, 0
         obs = self.kernel.obs
         if reliability != ReliabilityLevel.UNRELIABLE and packet.seq:
@@ -928,11 +793,11 @@ class VIANic:
         if mapping is None:
             return False
         pid, vpn = mapping
-        for task in self.kernel.tasks:
-            if task.pid == pid:
-                vma = task.vmas.find(vpn)
-                return vma is not None and bool(vma.flags & VM_LOCKED)
-        return False
+        task = self.kernel.tasks_by_pid.get(pid)
+        if task is None:
+            return False
+        vma = task.vmas.find(vpn)
+        return vma is not None and bool(vma.flags & VM_LOCKED)
 
     def _serve_atomic_fresh(self, vi: VirtualInterface, packet: Packet,
                             reliability: ReliabilityLevel
@@ -943,13 +808,13 @@ class VIANic:
         trace = self.kernel.trace
         obs = self.kernel.obs
 
-        def reject(status: str, reason: str) -> tuple[str, int]:
+        def reject(status: str, reason: str,
+                   counter: str | None = None) -> tuple[str, int]:
             self.atomic_rejects += 1
             obs.inc("via.atomic.rejects")
             trace.emit("via_atomic_reject", nic=self.name, vi=vi.vi_id,
                        reason=reason, va=packet.remote_va, status=status)
-            if reliability != ReliabilityLevel.UNRELIABLE:
-                vi.enter_error()
+            self._fault(vi, reliability, status, counter)
             return status, 0
 
         if packet.remote_va % ATOMIC_OPERAND_BYTES:
@@ -959,8 +824,7 @@ class VIANic:
                 packet.remote_handle, packet.remote_va,
                 ATOMIC_OPERAND_BYTES, vi.prot_tag, rdma_atomic=True)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
-            return reject(exc.status, "protection")
+            return reject(exc.status, "protection", "protection_faults")
         addr = segs[0][0]
         # Residency check: unlike fire-and-forget DMA (which must stay
         # "unhelpful", per the paper), an atomic is a round-trip verb
@@ -997,11 +861,9 @@ class VIANic:
         try:
             original = self.dma.atomic_rmw(addr, rmw)
         except DMAFault:
-            self.dma_faults += 1
             trace.emit("via_dma_fault", nic=self.name, vi=vi.vi_id,
                        side="atomic")
-            if reliability != ReliabilityLevel.UNRELIABLE:
-                vi.enter_error()
+            self._fault(vi, reliability, VIP_ERROR_NIC, "dma_faults")
             return VIP_ERROR_NIC, 0
         self._atomic_busy[addr] = (
             clock.now_ns + self.kernel.costs.atomic_contention_window_ns)

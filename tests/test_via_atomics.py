@@ -172,6 +172,21 @@ class TestAtomicSemantics:
         batch = cq.drain_batch()
         assert batch == []
 
+    def test_mlock_backend_word_is_served(self):
+        # The mlock backend keeps the word resident through a VM_LOCKED
+        # mapping, not a pin: the RMW unit must accept it on that basis.
+        p = _AtomicPair(backend="mlock")
+        task = p.ua_r.task
+        frame = task.page_table.lookup(task.vpn_of(p.rva)).frame
+        assert p.ua_r.agent.kernel.pagemap.page(frame).pin_count == 0
+        p.set_word(0, 40)
+        d = p.ua_s.atomic_fetchadd(p.vi_s, p.lreg, p.rreg.handle,
+                                   p.rva, 2)
+        assert d.status == VIP_SUCCESS
+        assert d.atomic_original_value == 40
+        assert p.word() == 42
+        assert p.ua_r.nic.atomic_rejects == 0
+
     def test_counters(self):
         p = _AtomicPair()
         for i in range(3):

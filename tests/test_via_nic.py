@@ -11,6 +11,7 @@ from repro.via.constants import (
     ReliabilityLevel, ViState,
 )
 from repro.via.descriptor import DataSegment, Descriptor
+from repro.sim.faults import FaultPlan
 from repro.via.machine import connected_pair
 
 
@@ -308,7 +309,7 @@ class TestPacketLoss:
     def test_unreliable_vi_drops_packets(self):
         cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
             "kiobuf", reliability=ReliabilityLevel.UNRELIABLE)
-        cluster.fabric.loss_rate = 1.0    # drop everything
+        cluster.inject_faults(FaultPlan(loss_rate=1.0))  # drop all
         post_recv_buffer(ua_r, vi_r)
         sva = ua_s.task.mmap(1)
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
@@ -357,3 +358,38 @@ class TestTranslationCacheLifecycle:
         assert tpt.cached_translations == 0
         # registrations themselves survive the reset (host-side state)
         assert tpt.entries_used > 0
+
+
+class TestFaultMetrics:
+    """Every fault the NIC counts in its attributes also reaches the
+    metrics snapshot — receive- and responder-side faults included."""
+
+    def test_fault_metrics_match_nic_counters(self):
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
+            "kiobuf", reliability=ReliabilityLevel.UNRELIABLE)
+        cluster.obs.enable()
+        sva = ua_s.task.mmap(1)
+        sreg = ua_s.register_mem(sva, PAGE_SIZE)
+        # 1. receive-side DMA fault: only the receiver's engine fails
+        post_recv_buffer(ua_r, vi_r)
+        ua_r.nic.dma.fault_plan = FaultPlan(dma_fail_rate=1.0)
+        ua_s.send_bytes(vi_s, sreg, b"lands nowhere")
+        ua_r.nic.dma.fault_plan = None
+        # 2. RDMA-write protection fault: the target grants no RDMA write
+        tva = ua_r.task.mmap(1)
+        treg = ua_r.register_mem(tva, PAGE_SIZE)
+        ua_s.post_send(vi_s, Descriptor.rdma_write(
+            [DataSegment(sreg.handle, sva, 8)], treg.handle, tva))
+        # 3. RDMA write with immediate data and no posted receive
+        wreg = ua_r.register_mem(tva, PAGE_SIZE, rdma_write=True)
+        ua_s.post_send(vi_s, Descriptor.rdma_write(
+            [DataSegment(sreg.handle, sva, 8)], wreg.handle, tva,
+            immediate=b"IMM!"))
+
+        nic = ua_r.nic
+        assert (nic.dma_faults, nic.protection_faults, nic.recv_drops) \
+            == (1, 1, 1)
+        for attr in ("dma_faults", "protection_faults", "recv_drops"):
+            total = sum(getattr(m.nic, attr) for m in cluster.machines)
+            assert cluster.obs.counter(f"via.nic.{attr}").value == total, \
+                attr
