@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from repro.bench.harness import fmt_ns, print_table, record
+from repro.bench.harness import fmt_ns, percentile, print_table, record
 from repro.sim.faults import DLM_CRASH_POINTS
 from repro.workloads.dlm import DESIGNS, DLMConfig, run_dlm
 
@@ -82,12 +82,11 @@ def _crash_pass(design):
             for by, count in rep.reclaims_by.items():
                 reclaims_by[by] = reclaims_by.get(by, 0) + count
             runs += 1
-    from repro.workloads.dlm import DLMReport
     return {
         "design": design,
         "runs": runs,
-        "recovery_p50_ns": DLMReport.percentile(recovery, 0.50),
-        "recovery_p99_ns": DLMReport.percentile(recovery, 0.99),
+        "recovery_p50_ns": percentile(recovery, 0.50),
+        "recovery_p99_ns": percentile(recovery, 0.99),
         "recovery_samples": len(recovery),
         "reclaims_by": reclaims_by,
     }

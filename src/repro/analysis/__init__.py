@@ -12,6 +12,9 @@ check of those invariants:
   TSAN/lockdep analog that subscribes to that stream and maintains
   per-frame/per-range state machines detecting typed violations, each
   with a happens-before event trail.
+* :mod:`repro.analysis.checker` — the base class both checkers extend:
+  the arming, suppression, feed and trail-ring lifecycle of the
+  sanitizer and the race detector.
 * :mod:`repro.analysis.lint` — ``repro-lint``, an AST checker enforcing
   the repo's own coding invariants (no swallowed control-flow
   exceptions, no wall-clock time or unseeded randomness, guarded

@@ -78,35 +78,29 @@ class ExploreRun:
         self.crash_point = crash_point
         self.detector = RaceDetector(strict=False)
         self.sanitizer = PinSanitizer(strict=False)
+        #: both checkers, in arming (and disarming) order
+        self.checkers = (self.detector, self.sanitizer)
         self._clocks: list[SimClock] = []
 
     def attach(self, target: Any) -> Any:
-        """Arm the race detector and sanitizer on ``target`` (Machine,
-        Cluster, or Kernel) and install this run's tie-break seed on
+        """Arm the race detector and sanitizer on ``target`` (Cluster,
+        Machine, or Kernel) and install this run's tie-break seed on
         every reachable clock.  Returns ``target`` for chaining."""
-        self.detector.arm(target)
-        self.sanitizer.arm(target)
-        for clock in self._clocks_of(target):
+        from repro.via.machine import kernel_pairs
+        for checker in self.checkers:
+            checker.arm(target)
+        for kernel, _agents in kernel_pairs(target):
+            clock = kernel.clock
             if clock not in self._clocks:
                 clock.set_tiebreak(self.tiebreak_seed)
                 self._clocks.append(clock)
         return target
 
-    @staticmethod
-    def _clocks_of(target: Any) -> list[SimClock]:
-        from repro.via.machine import Cluster, Machine
-        if isinstance(target, Cluster):
-            return [target.clock]
-        if isinstance(target, Machine):
-            return [target.kernel.clock]
-        return [target.clock]
-
     def detach(self) -> None:
         """Disarm both checkers and restore FIFO tie-break order."""
-        if self.detector.armed:
-            self.detector.disarm()
-        if self.sanitizer.armed:
-            self.sanitizer.disarm()
+        for checker in self.checkers:
+            if checker.armed:
+                checker.disarm()
         for clock in self._clocks:
             clock.set_tiebreak(None)
 

@@ -64,7 +64,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 #: Every rule this linter knows, with a one-line summary.
 RULES: dict[str, str] = {
@@ -197,6 +197,40 @@ def _contains_enabled(node: ast.expr) -> bool:
     """Does the expression read some ``....enabled`` attribute?"""
     return any(isinstance(n, ast.Attribute) and n.attr == "enabled"
                for n in ast.walk(node))
+
+
+def _link_parents(tree: ast.AST) -> None:
+    """Annotate every node with its parent, so guards can be found
+    lexically."""
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            child._lint_parent = node  # type: ignore[attr-defined]
+
+
+def _guarded(node: ast.AST, guards: Callable[[ast.expr], bool]) -> bool:
+    """Is ``node`` inside an ``if`` whose test ``guards`` accepts, or
+    after an ``if`` on such a test that ends its enclosing function's
+    statement early (return/continue/raise)?  Needs
+    :func:`_link_parents`."""
+    ancestor = getattr(node, "_lint_parent", None)
+    func_scope = None
+    while ancestor is not None:
+        if isinstance(ancestor, ast.If) and guards(ancestor.test):
+            return True
+        if func_scope is None and isinstance(
+                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func_scope = ancestor
+        ancestor = getattr(ancestor, "_lint_parent", None)
+    if func_scope is None:
+        return False
+    for stmt in func_scope.body:
+        if stmt.lineno >= node.lineno:
+            break
+        if isinstance(stmt, ast.If) and guards(stmt.test) \
+                and stmt.body and isinstance(
+                    stmt.body[-1], (ast.Return, ast.Continue, ast.Raise)):
+            return True
+    return False
 
 
 class Linter:
@@ -382,10 +416,7 @@ class Linter:
     @staticmethod
     def _check_obs_unguarded(tree: ast.AST,
                              path: str) -> list[LintFinding]:
-        # Annotate parents so guards can be found lexically.
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                child._lint_parent = node  # type: ignore[attr-defined]
+        _link_parents(tree)
         findings = []
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
@@ -394,32 +425,7 @@ class Linter:
                     and isinstance(node.func.value, ast.Attribute)
                     and node.func.value.attr == "metrics"):
                 continue
-            # Guarded if any lexical ancestor `if` tests `....enabled`…
-            guarded = False
-            ancestor = getattr(node, "_lint_parent", None)
-            func_scope = None
-            while ancestor is not None:
-                if isinstance(ancestor, ast.If) \
-                        and _contains_enabled(ancestor.test):
-                    guarded = True
-                    break
-                if func_scope is None and isinstance(
-                        ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    func_scope = ancestor
-                ancestor = getattr(ancestor, "_lint_parent", None)
-            # …or the enclosing function bailed out early on `.enabled`.
-            if not guarded and func_scope is not None:
-                for stmt in func_scope.body:
-                    if stmt.lineno >= node.lineno:
-                        break
-                    if isinstance(stmt, ast.If) \
-                            and _contains_enabled(stmt.test) \
-                            and stmt.body and isinstance(
-                                stmt.body[-1],
-                                (ast.Return, ast.Continue, ast.Raise)):
-                        guarded = True
-                        break
-            if not guarded:
+            if not _guarded(node, _contains_enabled):
                 findings.append(LintFinding(
                     path, node.lineno, node.col_offset, "obs-unguarded",
                     f"direct registry access "
@@ -557,9 +563,7 @@ class Linter:
                     return True
             return False
 
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                child._lint_parent = node  # type: ignore[attr-defined]
+        _link_parents(tree)
         findings = []
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
@@ -567,31 +571,7 @@ class Linter:
                     and node.func.attr == "emit"
                     and _last_name(node.func.value) in _HUB_NAMES):
                 continue
-            guarded = False
-            ancestor = getattr(node, "_lint_parent", None)
-            func_scope = None
-            while ancestor is not None:
-                if isinstance(ancestor, ast.If) \
-                        and guards_hub(ancestor.test):
-                    guarded = True
-                    break
-                if func_scope is None and isinstance(
-                        ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    func_scope = ancestor
-                ancestor = getattr(ancestor, "_lint_parent", None)
-            # …or the enclosing function bailed out early on the hub.
-            if not guarded and func_scope is not None:
-                for stmt in func_scope.body:
-                    if stmt.lineno >= node.lineno:
-                        break
-                    if isinstance(stmt, ast.If) \
-                            and guards_hub(stmt.test) \
-                            and stmt.body and isinstance(
-                                stmt.body[-1],
-                                (ast.Return, ast.Continue, ast.Raise)):
-                        guarded = True
-                        break
-            if not guarded:
+            if not _guarded(node, guards_hub):
                 findings.append(LintFinding(
                     path, node.lineno, node.col_offset,
                     "hub-emit-unguarded",

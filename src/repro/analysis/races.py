@@ -76,7 +76,8 @@ from repro.errors import RaceDetected
 from repro.sim.clock import CalendarHook, ScheduledEvent, SimClock
 
 from . import events as ev
-from .events import EventHub, SanEvent
+from .checker import Checker
+from .events import SanEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
@@ -244,37 +245,30 @@ class _ClockState(CalendarHook):
             self.resume = {}
 
 
-class RaceDetector:
+class RaceDetector(Checker):
     """Happens-before checker for the pin/DMA event stream.
 
-    Mirrors the :class:`PinSanitizer` lifecycle: construct, ``arm()`` a
-    Machine / Cluster / bare Kernel, run the workload, read ``races`` /
-    ``counts`` (or let ``strict=True`` raise :class:`RaceDetected` at
-    the access that closed the race), ``disarm()``.  ``feed()`` drives
-    the engine from a synthetic event list for golden tests — there the
-    ``actor`` field (or pid/engine) names the context explicitly, since
-    no calendar exists to attribute against.
+    Shares the :class:`~repro.analysis.checker.Checker` lifecycle with
+    the :class:`PinSanitizer`: construct, ``arm()`` a Cluster / Machine
+    / bare Kernel, run the workload, read ``races`` / ``counts`` (or
+    let ``strict=True`` raise :class:`RaceDetected` at the access that
+    closed the race), ``disarm()``.  This class adds the calendar hooks
+    and :meth:`dispatch_groups`.  ``feed()`` drives the engine from a
+    synthetic event list for golden tests — there the ``actor`` field
+    (or pid/engine) names the context explicitly, since no calendar
+    exists to attribute against.  The ring holds ``(scope, context,
+    event)`` triples.
     """
 
+    KINDS = RACE_KINDS
+    KIND_NAME = "race kind"
+    TRAIL_REPORT = 8
+
     def __init__(self, *, strict: bool = False,
-                 suppress: Iterable[str] = (),
-                 trail_maxlen: int = 256,
-                 trail_report: int = 8) -> None:
-        self.strict = strict
-        self.suppressed: set[str] = set()
-        for race in suppress:
-            self.suppress(race)
+                 suppress: Iterable[str] = ()) -> None:
+        super().__init__(strict=strict, suppress=suppress)
         self.races: list[RaceViolation] = []
-        self.events_seen = 0
-        self.armed = False
-        self._trail_maxlen = trail_maxlen
-        self._trail_report = trail_report
-        self._ring: list[tuple[Any, str, SanEvent]] = []
-        self._counts: dict[str, int] = {race: 0 for race in RACE_KINDS}
-        self._unsubscribes: list[Callable[[], None]] = []
         self._hook_removers: list[Callable[[], None]] = []
-        self._n_scopes = 0
-        self._feed_ts = 0
         #: vector clocks, one per execution context
         self._vcs: dict[str, dict[str, int]] = {}
         #: calendar observer per armed clock (by id), and per scope
@@ -290,48 +284,12 @@ class RaceDetector:
         #: already-reported (scope, loc, race, prior ctx, current ctx)
         self._reported: set[tuple[Any, ...]] = set()
 
-    # ------------------------------------------------------------ suppression
-
-    def suppress(self, race: str) -> "RaceDetector":
-        """Disable one race class (typo-checked against
-        :data:`RACE_KINDS`)."""
-        if race not in RACE_KINDS:
-            raise ValueError(
-                f"unknown race kind {race!r}; choose one of {RACE_KINDS}")
-        self.suppressed.add(race)
-        return self
-
-    def unsuppress(self, race: str) -> "RaceDetector":
-        """Re-enable a suppressed race class."""
-        self.suppressed.discard(race)
-        return self
-
     # ----------------------------------------------------------------- arming
 
-    def arm(self, target: Any) -> "RaceDetector":
-        """Subscribe to a Machine, a Cluster, or a bare Kernel.
-
-        Installs a calendar hook on each distinct clock reachable from
-        the target (machines of one cluster share a clock and therefore
-        a context namespace) and subscribes to each kernel's event hub
-        under a fresh scope.
-        """
-        from repro.via.machine import Cluster, Machine
-        if isinstance(target, Cluster):
-            kernels = [m.kernel for m in target.machines]
-        elif isinstance(target, Machine):
-            kernels = [target.kernel]
-        else:
-            kernels = [target]
-        for kernel in kernels:
-            self._arm_kernel(kernel)
-        self.armed = True
-        return self
-
-    def _arm_kernel(self, kernel: "Kernel") -> None:
-        hub: EventHub = kernel.events
-        self._n_scopes += 1
-        scope = self._n_scopes
+    def _arm_kernel(self, kernel: "Kernel", agents: list,
+                    scope: int) -> None:
+        """Install a calendar hook on each distinct clock (machines of
+        one cluster share a clock and therefore a context namespace)."""
         clock = kernel.clock
         state = self._clock_states.get(id(clock))
         if state is None:
@@ -339,25 +297,15 @@ class RaceDetector:
             self._clock_states[id(clock)] = state
             self._hook_removers.append(clock.add_calendar_hook(state))
         self._scope_state[scope] = state
-        self._unsubscribes.append(hub.subscribe(
-            lambda event, _scope=scope: self.handle(event, scope=_scope)))
 
     def disarm(self) -> None:
         """Unsubscribe from every armed hub and remove clock hooks."""
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes.clear()
+        super().disarm()
         for remove in self._hook_removers:
             remove()
         self._hook_removers.clear()
-        self.armed = False
 
-    # ------------------------------------------------------------------ stats
-
-    @property
-    def counts(self) -> dict[str, int]:
-        """Races recorded so far, by class (includes zeros)."""
-        return dict(self._counts)
+    # -------------------------------------------------------------- schedule
 
     def dispatch_groups(self) -> list[tuple[int, list[tuple[int, frozenset]]]]:
         """Recorded same-deadline tie groups with ≥ 2 members.
@@ -380,20 +328,13 @@ class RaceDetector:
 
     # ------------------------------------------------------------------- feed
 
-    def handle(self, event: SanEvent, scope: Any = None) -> None:
-        """Consume one event (the hub-subscription entry point)."""
-        if scope is None:
-            scope = event.host
-        self.events_seen += 1
+    def _consume(self, event: SanEvent, scope: Any) -> None:
         state = self._scope_state.get(scope)
         if state is not None:
             ctx = state.current_ctx()
         else:
             ctx = self._feed_actor(event)
-        ring = self._ring
-        ring.append((scope, ctx, event))
-        if len(ring) > self._trail_maxlen:
-            del ring[:len(ring) - self._trail_maxlen]
+        self._ring.append((scope, ctx, event))
         vc = self._vcs.setdefault(ctx, {})
         vc[ctx] = vc.get(ctx, 0) + 1
         self._sync_edges(event, scope, ctx, vc)
@@ -405,24 +346,12 @@ class RaceDetector:
                 state.record_loc(loc)
             self._check_access(event, scope, ctx, vc, cls, loc)
 
-    def feed(self, events: Iterable) -> None:
-        """Drive the detector directly — the golden-test entry point.
-
-        Items are :class:`SanEvent`s or ``(kind, fields)`` pairs (host
-        ``"test"``, monotonic timestamps).  Context comes from the
-        event's ``actor`` field, falling back to ``task:<pid>`` or the
-        DMA ``engine`` name — with no calendar, every distinct actor is
-        concurrent unless a sync edge orders it.
-        """
-        for item in events:
-            if not isinstance(item, SanEvent):
-                kind, fields = item
-                self._feed_ts += 1
-                item = SanEvent(self._feed_ts, "test", kind, dict(fields))
-            self.handle(item)
-
     @staticmethod
     def _feed_actor(event: SanEvent) -> str:
+        """Context of a fed event: its ``actor`` field, else
+        ``task:<pid>``, else the DMA ``engine`` name — with no calendar,
+        every distinct actor is concurrent unless a sync edge orders
+        it."""
         actor = event.get("actor")
         if actor is not None:
             return str(actor)
@@ -556,4 +485,4 @@ class RaceDetector:
     def _trail(self, scope: Any, ctx: str) -> tuple[SanEvent, ...]:
         related = [e for e_scope, e_ctx, e in self._ring
                    if e_scope == scope and e_ctx == ctx]
-        return tuple(related[-self._trail_report:])
+        return tuple(related[-self.TRAIL_REPORT:])

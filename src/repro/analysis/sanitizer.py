@@ -46,8 +46,8 @@ paper's locking mechanisms exist to guarantee.  The violation catalog:
     resume — a resume with no service replays the transfer through a
     still-invalid translation.
 
-The ``odp`` mode (on by default) understands the on-demand-paging
-backend's *sanctioned* transitions: ``FAULT_SERVICE`` frames join a
+The sanitizer understands the on-demand-paging backend's
+*sanctioned* transitions: ``FAULT_SERVICE`` frames join a
 registration's tracked set and ``ODP_EVICT`` removes them again, so a
 pressure eviction followed by swap-out of the (now unpinned,
 invalidated) frame is not misread as ``swap-registered`` or
@@ -82,7 +82,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.analysis import events as ev
-from repro.analysis.events import EventHub, SanEvent
+from repro.analysis.checker import Checker
+from repro.analysis.events import SanEvent
 from repro.errors import SanitizerViolation, UnmetExpectation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,39 +154,31 @@ class _Expectation:
     captured: list[Violation] = field(default_factory=list)
 
 
-class PinSanitizer:
-    """Event-stream checker for the pin-safety violation catalog."""
+class PinSanitizer(Checker):
+    """Event-stream checker for the pin-safety violation catalog.
 
-    def __init__(self, *, strict: bool = False, odp: bool = True,
-                 suppress: Iterable[str] = (),
-                 trail_maxlen: int = 256,
-                 trail_report: int = 32) -> None:
-        self.strict = strict
-        self.odp = odp
-        self.suppressed: set[str] = set()
-        for check in suppress:
-            self.suppress(check)
+    The arming, suppression, feed and trail-ring lifecycle is
+    :class:`~repro.analysis.checker.Checker`'s; this class adds the
+    arming baseline, the obs collector, :meth:`expect`, and the
+    dangling-suspension report at :meth:`disarm`.  The ring holds
+    ``(scope, event)`` pairs.
+    """
+
+    KINDS = CHECKS
+
+    def __init__(self, *, strict: bool = False,
+                 suppress: Iterable[str] = ()) -> None:
+        super().__init__(strict=strict, suppress=suppress)
         self.violations: list[Violation] = []
-        self.events_seen = 0
-        self.armed = False
-        self._trail_maxlen = trail_maxlen
-        self._trail_report = trail_report
-        self._ring: list[tuple[Any, SanEvent]] = []
         self._expectations: list[_Expectation] = []
         #: expect() blocks that exited without capturing anything (and
         #: without an exception in flight) — reported at disarm
         self._unmet: list[str] = []
-        self._unsubscribes: list[Callable[[], None]] = []
-        self._collectors: list[tuple["Observability", Callable]] = []
-        self._counts: dict[str, int] = {check: 0 for check in CHECKS}
-        self._feed_ts = 0
-        self._n_scopes = 0
+        #: facades :meth:`_collect_into` is registered with
+        self._collectors: list["Observability"] = []
         # -- per-(scope, ...) state machines --
-        # A *scope* namespaces the state: each armed hub gets a fresh
-        # token so two kernels that happen to share a host label (e.g.
-        # many single-machine clusters built in one test) can never
-        # alias each other's frames or handles.  Host labels are kept
-        # for display only.
+        # Each armed hub's state is keyed by its scope token; host
+        # labels are kept for display only.
         #: believed pin count per (scope, frame)
         self._pins: dict[tuple[Any, int], int] = {}
         #: open DMA windows per (scope, frame)
@@ -225,32 +218,16 @@ class PinSanitizer:
             ev.REGISTER: self._on_register,
             ev.DEREGISTER: self._on_deregister,
             ev.TASK_EXIT: self._on_task_exit,
-        }
-        if self.odp:
             # TPT_PAGE_INVALIDATE is deliberately absent: a per-page
             # invalidation leaves the region registered, so it must not
             # feed the tpt-use-after-invalidate handle graveyard.
-            self._handlers.update({
-                ev.DMA_SUSPEND: self._on_dma_suspend,
-                ev.DMA_RESUME: self._on_dma_resume,
-                ev.FAULT_SERVICE: self._on_fault_service,
-                ev.ODP_EVICT: self._on_odp_evict,
-            })
+            ev.DMA_SUSPEND: self._on_dma_suspend,
+            ev.DMA_RESUME: self._on_dma_resume,
+            ev.FAULT_SERVICE: self._on_fault_service,
+            ev.ODP_EVICT: self._on_odp_evict,
+        }
 
-    # ------------------------------------------------------------ suppression
-
-    def suppress(self, check: str) -> "PinSanitizer":
-        """Disable one check (typo-checked against :data:`CHECKS`)."""
-        if check not in CHECKS:
-            raise ValueError(
-                f"unknown check {check!r}; choose one of {CHECKS}")
-        self.suppressed.add(check)
-        return self
-
-    def unsuppress(self, check: str) -> "PinSanitizer":
-        """Re-enable a suppressed check."""
-        self.suppressed.discard(check)
-        return self
+    # ------------------------------------------------------------ expectation
 
     @contextmanager
     def expect(self, *checks: str) -> Iterator[list[Violation]]:
@@ -268,9 +245,7 @@ class PinSanitizer:
         through the block — the usual reason nothing fired — is never
         masked)."""
         for check in checks:
-            if check not in CHECKS:
-                raise ValueError(
-                    f"unknown check {check!r}; choose one of {CHECKS}")
+            self._check_kind(check)
         exp = _Expectation(frozenset(checks))
         self._expectations.append(exp)
         try:
@@ -284,30 +259,12 @@ class PinSanitizer:
 
     # ----------------------------------------------------------------- arming
 
-    def arm(self, target: Any) -> "PinSanitizer":
-        """Subscribe to a Machine, a Cluster, or a bare Kernel.
-
-        Arming snapshots each kernel's current pin counts (so an unpin
-        of a pre-existing pin is not misread as underflow) and seeds the
-        registration shadow from any Kernel Agents reachable from the
-        target, so pre-existing registrations are tracked too.
-        """
-        from repro.via.machine import Cluster, Machine
-        if isinstance(target, Cluster):
-            pairs = [(m.kernel, [m.agent]) for m in target.machines]
-        elif isinstance(target, Machine):
-            pairs = [(target.kernel, [target.agent])]
-        else:
-            pairs = [(target, [])]
-        for kernel, agents in pairs:
-            self._arm_kernel(kernel, agents)
-        self.armed = True
-        return self
-
-    def _arm_kernel(self, kernel: "Kernel", agents: list) -> None:
-        hub: EventHub = kernel.events
-        self._n_scopes += 1
-        scope = self._n_scopes
+    def _arm_kernel(self, kernel: "Kernel", agents: list,
+                    scope: int) -> None:
+        """Arming baseline: snapshot the kernel's current pin counts (so
+        an unpin of a pre-existing pin is not misread as underflow) and
+        seed the registration shadow from the target's Kernel Agents, so
+        pre-existing registrations are tracked too."""
         for pd in kernel.pagemap:
             if pd.pin_count > 0:
                 self._pins[(scope, pd.frame)] = pd.pin_count
@@ -325,23 +282,18 @@ class PinSanitizer:
                     uid=uid,
                     quota_pages=(agent.tenants.quota_of(uid)
                                  if uid is not None else None))
-        self._unsubscribes.append(hub.subscribe(
-            lambda event, _scope=scope: self.handle(event, scope=_scope)))
         self._attach_collector(kernel.obs)
 
     def disarm(self) -> None:
         """Unsubscribe from every armed hub and detach collectors.
 
-        In ``odp`` mode any suspension still open now is a dangling
-        suspension — a transfer the NIC parked and nobody ever fixed
-        up — and is reported before the checker lets go."""
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes.clear()
-        for obs, collector in self._collectors:
-            obs.remove_collector(collector)
+        Any suspension still open now is a dangling suspension — a
+        transfer the NIC parked and nobody ever fixed up — and is
+        reported before the checker lets go."""
+        super().disarm()
+        for obs in self._collectors:
+            obs.remove_collector(self._collect_into)
         self._collectors.clear()
-        self.armed = False
         dangling, self._suspensions = self._suspensions, {}
         self._serviced.clear()
         for (scope, token), suspend in dangling.items():
@@ -360,11 +312,9 @@ class PinSanitizer:
     # ------------------------------------------------------------- obs bridge
 
     def _attach_collector(self, obs: "Observability") -> None:
-        if any(existing is obs for existing, _ in self._collectors):
-            return
-        collector = self._collect_into
-        obs.add_collector(collector)
-        self._collectors.append((obs, collector))
+        if not any(existing is obs for existing in self._collectors):
+            obs.add_collector(self._collect_into)
+            self._collectors.append(obs)
 
     def _collect_into(self, obs: "Observability") -> None:
         """Snapshot-time collector: fold sanitizer counters into the
@@ -377,46 +327,13 @@ class PinSanitizer:
             name = "analysis.san.violations." + check.replace("-", "_")
             metrics.gauge(name).set(count)
 
-    # ------------------------------------------------------------------ stats
-
-    @property
-    def counts(self) -> dict[str, int]:
-        """Violations recorded so far, by check (includes zeros)."""
-        return dict(self._counts)
-
     # ------------------------------------------------------------------- feed
 
-    def handle(self, event: SanEvent, scope: Any = None) -> None:
-        """Consume one event (the hub-subscription entry point).
-
-        ``scope`` namespaces the per-frame/per-handle state; armed hubs
-        bind a distinct scope at subscription time.  When fed directly
-        it defaults to the event's host label.
-        """
-        if scope is None:
-            scope = event.host
-        self.events_seen += 1
-        ring = self._ring
-        ring.append((scope, event))
-        if len(ring) > self._trail_maxlen:
-            del ring[:len(ring) - self._trail_maxlen]
+    def _consume(self, event: SanEvent, scope: Any) -> None:
+        self._ring.append((scope, event))
         handler = self._handlers.get(event.kind)
         if handler is not None:
             handler(event, scope)
-
-    def feed(self, events: Iterable) -> None:
-        """Drive the sanitizer directly — the golden-test entry point.
-
-        Each item is either a ready :class:`SanEvent` or a
-        ``(kind, fields_dict)`` pair, which is stamped with host
-        ``"test"`` and a monotonically increasing timestamp.
-        """
-        for item in events:
-            if not isinstance(item, SanEvent):
-                kind, fields = item
-                self._feed_ts += 1
-                item = SanEvent(self._feed_ts, "test", kind, dict(fields))
-            self.handle(item)
 
     # -------------------------------------------------------------- reporting
 
@@ -449,7 +366,7 @@ class PinSanitizer:
                 continue
             if e is trigger or self._related(e, frames, pid, handle):
                 related.append(e)
-        return tuple(related[-self._trail_report:])
+        return tuple(related[-self.TRAIL_REPORT:])
 
     @staticmethod
     def _related(e: SanEvent, frames: frozenset[int], pid: int | None,
@@ -492,12 +409,7 @@ class PinSanitizer:
         if reg is None:
             return   # registered before arming; nothing tracked
         if reg.uid is not None:
-            key = (scope, reg.uid)
-            remaining = self._uid_pages.get(key, 0) - len(reg.frames)
-            if remaining > 0:
-                self._uid_pages[key] = remaining
-            else:
-                self._uid_pages.pop(key, None)
+            self._debit_uid(scope, reg.uid, len(reg.frames))
         pid_key = (scope, reg.pid)
         handles = self._regs_by_pid.get(pid_key)
         if handles is not None:
@@ -505,15 +417,27 @@ class PinSanitizer:
             if not handles:
                 del self._regs_by_pid[pid_key]
         for frame in reg.frames:
-            frame_key = (scope, frame)
-            owners = self._reg_frames.get(frame_key)
-            if owners is not None:
-                owners.discard(handle)
-                if not owners:
-                    del self._reg_frames[frame_key]
-                    # A frame with no live registration can be reused
-                    # for anything; its atomic-word history is moot.
-                    self._atomic_words.pop(frame_key, None)
+            self._disown(scope, frame, handle)
+
+    def _disown(self, scope: Any, frame: int, handle: int) -> None:
+        """``handle`` no longer covers ``frame``."""
+        key = (scope, frame)
+        owners = self._reg_frames.get(key)
+        if owners is not None:
+            owners.discard(handle)
+            if not owners:
+                del self._reg_frames[key]
+                # A frame with no live registration can be reused for
+                # anything; its atomic-word history is moot.
+                self._atomic_words.pop(key, None)
+
+    def _debit_uid(self, scope: Any, uid: int, pages: int) -> None:
+        key = (scope, uid)
+        remaining = self._uid_pages.get(key, 0) - pages
+        if remaining > 0:
+            self._uid_pages[key] = remaining
+        else:
+            self._uid_pages.pop(key, None)
 
     # -- handlers ------------------------------------------------------------
 
@@ -688,7 +612,7 @@ class PinSanitizer:
         for handle in handles:
             self._untrack_registration(scope, handle)
 
-    # -- ODP mode ------------------------------------------------------------
+    # -- ODP repair loop -----------------------------------------------------
 
     def _on_dma_suspend(self, event: SanEvent, scope: Any) -> None:
         self._suspensions[(scope, event["token"])] = event
@@ -730,22 +654,11 @@ class PinSanitizer:
 
     def _on_odp_evict(self, event: SanEvent, scope: Any) -> None:
         handle, frame = event["handle"], event["frame"]
-        key = (scope, frame)
-        owners = self._reg_frames.get(key)
-        if owners is not None:
-            owners.discard(handle)
-            if not owners:
-                del self._reg_frames[key]
-                self._atomic_words.pop(key, None)
+        self._disown(scope, frame, handle)
         reg = self._regs.get((scope, handle))
         if reg is None or frame not in reg.frames:
             return
         dropped = reg.frames.count(frame)
         reg.frames = tuple(f for f in reg.frames if f != frame)
         if reg.uid is not None:
-            ukey = (scope, reg.uid)
-            remaining = self._uid_pages.get(ukey, 0) - dropped
-            if remaining > 0:
-                self._uid_pages[ukey] = remaining
-            else:
-                self._uid_pages.pop(ukey, None)
+            self._debit_uid(scope, reg.uid, dropped)

@@ -28,6 +28,16 @@ def record(kind: str, title: str, **payload) -> None:
                             default=str) + "\n")
 
 
+def percentile(values: list[int], q: float) -> int:
+    """Nearest-rank ``q``-quantile (0..1) of ``values``; 0 when empty —
+    the SLO percentiles the soak and DLM reports publish."""
+    if not values:
+        return 0
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
+    return int(ordered[index])
+
+
 def fmt_ns(ns: float) -> str:
     """Render nanoseconds with an adaptive unit."""
     if ns >= 1e9:

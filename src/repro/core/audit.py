@@ -225,8 +225,6 @@ class InvariantWatchdog:
     """
 
     def __init__(self, *, interval_ns: int = 1_000_000,
-                 check_kernel: bool = True,
-                 check_tpt: bool = True,
                  check_pins: bool = True) -> None:
         if interval_ns <= 0:
             # The cadence reschedules one interval after each firing; a
@@ -235,8 +233,6 @@ class InvariantWatchdog:
             raise ValueError(
                 f"watchdog interval_ns must be positive, got {interval_ns}")
         self.interval_ns = interval_ns
-        self.check_kernel = check_kernel
-        self.check_tpt = check_tpt
         self.check_pins = check_pins
         self.checks_run = 0
         self.violations = 0
@@ -245,22 +241,19 @@ class InvariantWatchdog:
         #: pair index → stamp of its last clean check
         self._clean: dict[int, tuple] = {}
         self._in_check = False
-        self._teardowns: list[tuple] = []  #: (hook_list, hook) to undo
+        #: post-exit hook lists :meth:`_on_teardown` was added to
+        self._teardowns: list[list] = []
         #: one mutable cell per cadence chain holding its pending event
         self._cadences: list[list] = []
 
     # --------------------------------------------------------------- arming
 
     def arm(self, target) -> "InvariantWatchdog":
-        """Arm on a Machine, a Cluster, or a ``(kernel, agents)`` pair."""
-        from repro.via.machine import Cluster, Machine
-        if isinstance(target, Cluster):
-            pairs = [(m.kernel, [m.agent]) for m in target.machines]
-        elif isinstance(target, Machine):
-            pairs = [(target.kernel, [target.agent])]
-        else:
-            kernel, agents = target
-            pairs = [(kernel, list(agents))]
+        """Arm on a Cluster, a Machine, a bare Kernel, or a
+        ``(kernel, agents)`` pair (see
+        :func:`~repro.via.machine.kernel_pairs`)."""
+        from repro.via.machine import kernel_pairs
+        pairs = kernel_pairs(target)
         self._pairs.extend(pairs)
         self.armed = True
         clocks = {id(k.clock): k.clock for k, _ in pairs}
@@ -269,9 +262,8 @@ class InvariantWatchdog:
             # each chain reschedules itself.
             self._start_cadence(clock)
         for kernel, _ in pairs:
-            hook = self._make_teardown_hook()
-            kernel.post_exit_hooks.append(hook)
-            self._teardowns.append((kernel.post_exit_hooks, hook))
+            kernel.post_exit_hooks.append(self._on_teardown)
+            self._teardowns.append(kernel.post_exit_hooks)
         return self
 
     def _start_cadence(self, clock) -> None:
@@ -298,23 +290,21 @@ class InvariantWatchdog:
             if cell[0] is not None:
                 cell[0].cancel()
         self._cadences.clear()
-        for hook_list, hook in self._teardowns:
-            if hook in hook_list:
-                hook_list.remove(hook)
+        for hook_list in self._teardowns:
+            if self._on_teardown in hook_list:
+                hook_list.remove(self._on_teardown)
         self._teardowns.clear()
         self._pairs.clear()
         self._clean.clear()
         self.armed = False
 
-    def _make_teardown_hook(self):
-        def on_teardown(task) -> None:
-            self.check(boundary=f"teardown pid {task.pid}")
-        return on_teardown
+    def _on_teardown(self, task) -> None:
+        self.check(boundary=f"teardown pid {task.pid}")
 
     # -------------------------------------------------------------- checking
 
     def check(self, boundary: str = "manual") -> None:
-        """Run every enabled audit over every armed pair now."""
+        """Run the audits over every armed pair now."""
         if self._in_check:
             return
         self._in_check = True
@@ -327,24 +317,21 @@ class InvariantWatchdog:
     def _check_one(self, index: int, kernel, agents,
                    boundary: str) -> None:
         self.checks_run += 1
-        stamp = (self.check_kernel, self.check_tpt, self.check_pins,
-                 *state_stamp(kernel, agents))
+        stamp = (self.check_pins, *state_stamp(kernel, agents))
         if self._clean.get(index) == stamp:
             return
-        if self.check_kernel:
-            try:
-                audit_kernel_invariants(kernel)
-            except PageAccountingError as exc:
-                raise self._violation(
-                    "kernel", kernel, boundary, str(exc)) from exc
+        try:
+            audit_kernel_invariants(kernel)
+        except PageAccountingError as exc:
+            raise self._violation(
+                "kernel", kernel, boundary, str(exc)) from exc
         for agent in agents:
-            if self.check_tpt:
-                stale = audit_tpt_consistency(agent)
-                if stale:
-                    raise self._violation(
-                        "stale_tpt", kernel, boundary,
-                        f"{len(stale)} stale TPT entries",
-                        stale=[asdict(s) for s in stale])
+            stale = audit_tpt_consistency(agent)
+            if stale:
+                raise self._violation(
+                    "stale_tpt", kernel, boundary,
+                    f"{len(stale)} stale TPT entries",
+                    stale=[asdict(s) for s in stale])
         if self.check_pins:
             # count_kiobufs: a cadence sample can land mid-registration
             # or mid-map, where the pin exists but the record does not.

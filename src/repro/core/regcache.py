@@ -29,7 +29,7 @@ silently unprotected.  (That interaction is measured in benchmark E5.)
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import TYPE_CHECKING
 
 from repro.errors import ViaError
@@ -39,6 +39,10 @@ from repro.via.kernel_agent import Registration
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import Task
     from repro.via.kernel_agent import KernelAgent
+
+#: how many times a failing registration is retried when there is
+#: nothing left to evict (transient VIP_ERROR_RESOURCE)
+MAX_REGISTER_ATTEMPTS = 3
 
 
 def aligned_range(va: int, nbytes: int) -> tuple[int, int]:
@@ -95,15 +99,12 @@ class RegistrationCache:
     """LRU cache of registrations for one (agent, task) pair."""
 
     def __init__(self, agent: "KernelAgent", task: "Task",
-                 max_pages: int | None = None,
-                 max_register_attempts: int = 3) -> None:
+                 max_pages: int | None = None) -> None:
         self.agent = agent
         self.task = task
         #: page budget; None = bounded only by the TPT
         self.max_pages = max_pages
-        #: how many times a failing registration is retried when there
-        #: is nothing left to evict (transient VIP_ERROR_RESOURCE)
-        self.max_register_attempts = max_register_attempts
+        self.max_register_attempts = MAX_REGISTER_ATTEMPTS
         #: entries in LRU order: oldest acquire first (acquire moves an
         #: entry to the hot end; release does not change recency)
         self._entries: OrderedDict[tuple[int, int, int, bool, bool],
@@ -114,6 +115,8 @@ class RegistrationCache:
         self._pages_total = 0
         self._tick = 0
         self.stats = CacheStats()
+        #: stats and cached pages as of the last :meth:`_publish_stats`
+        self._published = (0,) * (len(fields(CacheStats)) + 1)
         # Per-tenant sharding: the cache registers itself with the
         # agent's tenant service so admission pressure can shed its
         # unused entries (tenant-local first) instead of denying.
@@ -121,22 +124,26 @@ class RegistrationCache:
 
     def _publish_stats(self, obs) -> None:
         """Bridge :class:`CacheStats` into the metrics registry (called
-        only when observability is enabled)."""
-        stats = self.stats
+        only when observability is enabled).
+
+        A cluster's caches share one registry, so each cache adds what
+        moved since its own last publish: the counters and the
+        ``cached_pages`` gauge sum over every cache, and ``hit_rate``
+        is computed from the summed counters."""
         metrics = obs.metrics
-        metrics.counter("core.regcache.hits").value = stats.hits
-        metrics.counter("core.regcache.misses").value = stats.misses
-        metrics.counter("core.regcache.evictions").value = stats.evictions
-        metrics.counter("core.regcache.retries").value = stats.retries
-        metrics.counter("core.regcache.capacity_failures").value = \
-            stats.capacity_failures
-        metrics.gauge("core.regcache.hit_rate").set(stats.hit_rate)
-        metrics.gauge("core.regcache.cached_pages").set(self._pages_total)
+        now = (*astuple(self.stats), self._pages_total)
+        for stat, value, last in zip(fields(CacheStats), now,
+                                     self._published):
+            metrics.counter(f"core.regcache.{stat.name}").inc(value - last)
+        metrics.gauge("core.regcache.cached_pages").inc(
+            now[-1] - self._published[-1])
+        self._published = now
+        hits = metrics.counter("core.regcache.hits").value
+        total = hits + metrics.counter("core.regcache.misses").value
+        metrics.gauge("core.regcache.hit_rate").set(
+            hits / total if total else 0.0)
 
     # -- internals -----------------------------------------------------------
-
-    def _pages_cached(self) -> int:
-        return self._pages_total
 
     def _index_add(self, entry: CacheEntry) -> None:
         first, last = entry.page_span()
@@ -223,7 +230,7 @@ class RegistrationCache:
         base, length = aligned_range(va, nbytes)
         want_pages = length // PAGE_SIZE
         if self.max_pages is not None:
-            while (self._pages_cached() + want_pages > self.max_pages
+            while (self._pages_total + want_pages > self.max_pages
                    and self._evict_one()):
                 pass
         attempts = 0
@@ -239,7 +246,7 @@ class RegistrationCache:
                 # Resource pressure: shed an unused cached entry (freeing
                 # TPT capacity *and* pinned pages) and retry.  When
                 # nothing is evictable the failure may still be
-                # transient, so retry up to max_register_attempts times
+                # transient, so retry up to MAX_REGISTER_ATTEMPTS times
                 # before surfacing it.
                 attempts += 1
                 evicted = self._evict_one()
@@ -313,4 +320,4 @@ class RegistrationCache:
 
     @property
     def cached_pages(self) -> int:
-        return self._pages_cached()
+        return self._pages_total

@@ -160,6 +160,9 @@ class DMAEngine:
         finally:
             self._window_close("read", window)
         self.bytes_read += length
+        obs = self._obs
+        if obs is not None and obs.enabled:
+            obs.metrics.counter("hw.dma.bytes_read").inc(length)
         if self._trace is not None:
             self._trace.emit("dma_read", engine=self.name,
                             phys_addr=phys_addr, length=length)
@@ -179,6 +182,9 @@ class DMAEngine:
         finally:
             self._window_close("write", window)
         self.bytes_written += len(data)
+        obs = self._obs
+        if obs is not None and obs.enabled:
+            obs.metrics.counter("hw.dma.bytes_written").inc(len(data))
         if self._trace is not None:
             self._trace.emit("dma_write", engine=self.name,
                             phys_addr=phys_addr, length=len(data))
@@ -275,7 +281,10 @@ class DMAEngine:
         self.bytes_written += length
         obs = self._obs
         if obs is not None and obs.enabled:
-            obs.metrics.counter("hw.dma.atomics").inc()
+            metrics = obs.metrics
+            metrics.counter("hw.dma.atomics").inc()
+            metrics.counter("hw.dma.bytes_read").inc(length)
+            metrics.counter("hw.dma.bytes_written").inc(length)
         if self._trace is not None:
             self._trace.emit("dma_atomic", engine=self.name,
                              phys_addr=phys_addr, old=old, new=new)

@@ -48,7 +48,6 @@ class Kernel:
                  seed: int = 0,
                  min_free_pages: int = 8,
                  reserved_frames: int = 4,
-                 trace_maxlen: int = 65536,
                  clock: SimClock | None = None,
                  trace: Trace | None = None,
                  obs: Observability | None = None,
@@ -65,8 +64,7 @@ class Kernel:
         # cluster measures end-to-end latency on one timeline and rolls
         # its metrics into one snapshot).
         self.clock = clock if clock is not None else SimClock()
-        self.trace = trace if trace is not None else Trace(
-            self.clock, maxlen=trace_maxlen)
+        self.trace = trace if trace is not None else Trace(self.clock)
         self.obs = obs if obs is not None else Observability(self.clock)
         # The analysis event stream is always per-kernel (frame numbers
         # and pids are host-local, so a shared hub would alias them);
@@ -413,33 +411,32 @@ class Kernel:
 
     # ----------------------------------------------- get/pin_user_pages
 
-    def pin_user_page(self, task: Task, vpn: int, write: bool = True,
-                      charge_tag: str = "odp") -> int:
-        """Fault one user page in and pin it — the audited
-        ``pin_user_pages``-style entry point the ODP fault service uses.
+    def pin_user_page(self, task: Task, vpn: int) -> int:
+        """Fault one user page in for writing and pin it — the audited
+        ``pin_user_pages``-style entry point the ODP fault service uses
+        (its cost is charged to ``odp``).
 
         Unlike :meth:`map_user_kiobuf` there is no record object: the
         caller owns the (reference, pin) pair and must release it with
         :meth:`unpin_user_page`.  Returns the backing frame.
         """
         pte = task.page_table.lookup(vpn)
-        if pte is None or not pte.present or (write and not pte.writable):
-            handle_fault(self, task, vpn, write=write)
+        if pte is None or not pte.present or not pte.writable:
+            handle_fault(self, task, vpn, write=True)
             pte = task.page_table.lookup(vpn)
         assert pte is not None and pte.present
         pd = self.pagemap.get_page(pte.frame)
         pd.pin()
-        self.clock.charge(self.costs.page_lock_ns, charge_tag)
+        self.clock.charge(self.costs.page_lock_ns, "odp")
         if self.events.active:
             self.events.emit(PIN, frames=(pte.frame,), pid=task.pid)
         return pte.frame
 
-    def unpin_user_page(self, frame: int, pid: int,
-                        charge_tag: str = "odp") -> None:
+    def unpin_user_page(self, frame: int, pid: int) -> None:
         """Drop one (reference, pin) pair taken by :meth:`pin_user_page`."""
         pd = self.pagemap.page(frame)
         pd.unpin()
-        self.clock.charge(self.costs.page_lock_ns, charge_tag)
+        self.clock.charge(self.costs.page_lock_ns, "odp")
         self.pagemap.put_page(frame)
         if self.events.active:
             self.events.emit(UNPIN, frames=(frame,), pid=pid)

@@ -3,7 +3,9 @@
 A :class:`Machine` is one host — a kernel plus one VIA NIC and its
 Kernel Agent, with a chosen locking backend.  A :class:`Cluster` builds
 several machines sharing one simulated clock and one fabric, so
-end-to-end latencies are measured on a single timeline.
+end-to-end latencies are measured on a single timeline.  Checkers and
+fault plans arm the same way on either; :func:`kernel_pairs` is the one
+place that tells the targets apart.
 """
 
 from __future__ import annotations
@@ -23,7 +25,46 @@ from repro.via.user_agent import UserAgent
 from repro.via.vi import VirtualInterface
 
 
-class Machine:
+def kernel_pairs(target: "Cluster | Machine | Kernel | tuple"
+                 ) -> list[tuple[Kernel, list[KernelAgent]]]:
+    """The ``(kernel, agents)`` pairs a checker armed on ``target``
+    watches: one per machine of a :class:`Cluster`, one for a
+    :class:`Machine`, a bare :class:`Kernel` with no agents, or a
+    ``(kernel, agents)`` pair as given."""
+    if isinstance(target, Cluster):
+        return [(m.kernel, [m.agent]) for m in target.machines]
+    if isinstance(target, Machine):
+        return [(target.kernel, [target.agent])]
+    if isinstance(target, Kernel):
+        return [(target, [])]
+    kernel, agents = target
+    return [(kernel, list(agents))]
+
+
+class _Armable:
+    """Arming shared by :class:`Machine` and :class:`Cluster`: each
+    call covers every machine the target spans."""
+
+    def inject_faults(self, plan):
+        """Wire a :class:`~repro.sim.faults.FaultPlan` (or None to
+        disarm) into the fabric, NICs, DMA engines, and drivers."""
+        from repro.sim.faults import install
+        return install(plan, self)
+
+    def arm_watchdog(self, **kwargs):
+        """Arm one :class:`~repro.core.audit.InvariantWatchdog` over
+        every machine and return it."""
+        from repro.core.audit import InvariantWatchdog
+        return InvariantWatchdog(**kwargs).arm(self)
+
+    def arm_sanitizer(self, **kwargs):
+        """Arm one :class:`~repro.analysis.sanitizer.PinSanitizer` over
+        every machine and return it."""
+        from repro.analysis.sanitizer import PinSanitizer
+        return PinSanitizer(**kwargs).arm(self)
+
+
+class Machine(_Armable):
     """One host: kernel + NIC + Kernel Agent."""
 
     def __init__(self, name: str = "m0",
@@ -73,12 +114,6 @@ class Machine:
         """The machine's observability facade (possibly cluster-shared)."""
         return self.kernel.obs
 
-    def inject_faults(self, plan):
-        """Wire a :class:`~repro.sim.faults.FaultPlan` (or None to
-        disarm) into this machine's fabric, NIC, DMA engine, and driver."""
-        from repro.sim.faults import install
-        return install(plan, self)
-
     def spawn(self, name: str = "", uid: int = 1000) -> Task:
         """Create a task on this machine."""
         return self.kernel.create_task(uid=uid, name=name)
@@ -92,18 +127,6 @@ class Machine:
         """Connect two VIs of this machine's own NIC (loopback)."""
         self.fabric.connect(self.nic, vi_a.vi_id, self.nic, vi_b.vi_id)
 
-    def arm_watchdog(self, **kwargs):
-        """Arm an :class:`~repro.core.audit.InvariantWatchdog` on this
-        machine and return it."""
-        from repro.core.audit import InvariantWatchdog
-        return InvariantWatchdog(**kwargs).arm(self)
-
-    def arm_sanitizer(self, **kwargs):
-        """Arm a :class:`~repro.analysis.sanitizer.PinSanitizer` on this
-        machine and return it."""
-        from repro.analysis.sanitizer import PinSanitizer
-        return PinSanitizer(**kwargs).arm(self)
-
     def start_reaper(self, **kwargs):
         """Start an :class:`~repro.kernel.reaper.OrphanReaper` for this
         machine (installed as ``kernel.reaper``) and return it."""
@@ -113,7 +136,7 @@ class Machine:
         return reaper
 
 
-class Cluster:
+class Cluster(_Armable):
     """Several machines on one fabric with one shared clock."""
 
     def __init__(self, n: int = 2,
@@ -146,24 +169,6 @@ class Cluster:
                 min_free_pages=min_free_pages,
                 tenant_quota_pages=tenant_quota_pages,
                 host_pin_ceiling_pages=host_pin_ceiling_pages))
-
-    def inject_faults(self, plan):
-        """Wire a :class:`~repro.sim.faults.FaultPlan` (or None to
-        disarm) into the whole cluster."""
-        from repro.sim.faults import install
-        return install(plan, self)
-
-    def arm_watchdog(self, **kwargs):
-        """Arm one :class:`~repro.core.audit.InvariantWatchdog` over
-        every machine in the cluster and return it."""
-        from repro.core.audit import InvariantWatchdog
-        return InvariantWatchdog(**kwargs).arm(self)
-
-    def arm_sanitizer(self, **kwargs):
-        """Arm one :class:`~repro.analysis.sanitizer.PinSanitizer` over
-        every machine in the cluster and return it."""
-        from repro.analysis.sanitizer import PinSanitizer
-        return PinSanitizer(**kwargs).arm(self)
 
     def start_reapers(self, **kwargs):
         """Start one :class:`~repro.kernel.reaper.OrphanReaper` per

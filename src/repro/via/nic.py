@@ -51,8 +51,7 @@ class VIANic:
     """One VIA network interface controller."""
 
     def __init__(self, name: str, kernel: "Kernel",
-                 tpt_entries: int = 8192,
-                 max_retransmits: int = MAX_RETRANSMITS) -> None:
+                 tpt_entries: int = 8192) -> None:
         self.name = name
         self.kernel = kernel
         self.tpt = TranslationProtectionTable(
@@ -64,7 +63,7 @@ class VIANic:
         self.vis: dict[int, VirtualInterface] = {}
         self.fabric: "Fabric | None" = None
         self.fault_plan: "FaultPlan | None" = None
-        self.max_retransmits = max_retransmits
+        self.max_retransmits = MAX_RETRANSMITS
         self._next_vi_id = 1
         # counters
         self.sends_completed = 0
@@ -762,6 +761,7 @@ class VIANic:
             if cached is not None:
                 self.duplicates_dropped += 1
                 self.atomic_replays += 1
+                obs.inc("via.nic.duplicates_dropped")
                 obs.inc("via.atomic.replays")
                 self.kernel.trace.emit("via_atomic_replay", nic=self.name,
                                        vi=vi.vi_id, seq=packet.seq)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bench.harness import percentile
 from repro.core.audit import (
     audit_kernel_invariants, audit_pin_leaks, audit_tpt_consistency,
 )
@@ -190,19 +191,11 @@ class DLMReport:
     reaper_post_reclaimed: int = 0       #: must be 0 — teardown got it all
     notes: list[str] = field(default_factory=list)
 
-    @staticmethod
-    def percentile(values: list[int], q: float) -> int:
-        if not values:
-            return 0
-        ordered = sorted(values)
-        index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-        return int(ordered[index])
-
     def recovery_slo(self) -> dict:
         """p50/p99 lease-recovery latency, for BENCH.json."""
         return {
-            "recovery_p50_ns": self.percentile(self.recovery_ns, 0.50),
-            "recovery_p99_ns": self.percentile(self.recovery_ns, 0.99),
+            "recovery_p50_ns": percentile(self.recovery_ns, 0.50),
+            "recovery_p99_ns": percentile(self.recovery_ns, 0.99),
             "recovery_samples": len(self.recovery_ns),
         }
 
@@ -352,7 +345,58 @@ class _LockMem:
                               "little")
 
 
-class LockClient:
+class _WordVerbs:
+    """The lock-memory word verbs a client and the janitor share: remote
+    atomics on the atomic words, plain RDMA reads and writes on the
+    others, each waited out to completion.  The owner provides
+    ``name``, ``ua``, ``vi``, ``reg`` (a scratch page), ``task``,
+    ``h_mem`` and ``mem_va``."""
+
+    name: str
+    #: offset in the scratch page an RDMA read lands at (a write is
+    #: staged at +16)
+    READ_LANDING = 8
+
+    def _finish_send(self) -> Descriptor:
+        done = self.ua.send_done(self.vi)
+        if done.status != VIP_SUCCESS:
+            raise ViaError(
+                f"{self.name}: {done.dtype.value} failed with "
+                f"{done.status}")
+        return done
+
+    def _cas(self, off: int, compare: int, swap: int) -> int:
+        self.ua.atomic_cmpswap(self.vi, self.reg, self.h_mem,
+                               self.mem_va + off, compare, swap)
+        done = self._finish_send()
+        assert done.atomic_original_value is not None
+        return done.atomic_original_value
+
+    def _fadd(self, off: int, add: int) -> int:
+        self.ua.atomic_fetchadd(self.vi, self.reg, self.h_mem,
+                                self.mem_va + off, add)
+        done = self._finish_send()
+        assert done.atomic_original_value is not None
+        return done.atomic_original_value
+
+    def _read_word(self, off: int) -> int:
+        landing = self.reg.va + self.READ_LANDING
+        seg = DataSegment(self.reg.handle, landing, _WORD)
+        self.ua.post_send(self.vi, Descriptor.rdma_read(
+            [seg], self.h_mem, self.mem_va + off))
+        self._finish_send()
+        return int.from_bytes(self.task.read(landing, _WORD), "little")
+
+    def _write_word(self, off: int, value: int) -> None:
+        staging = self.reg.va + 16
+        self.task.write(staging, value.to_bytes(_WORD, "little"))
+        seg = DataSegment(self.reg.handle, staging, _WORD)
+        self.ua.post_send(self.vi, Descriptor.rdma_write(
+            [seg], self.h_mem, self.mem_va + off))
+        self._finish_send()
+
+
+class LockClient(_WordVerbs):
     """One lock-manager client: a process, a VI pair to m0, and a
     design-specific acquire/release state machine driven by
     :meth:`step`.
@@ -394,45 +438,6 @@ class LockClient:
         self.ticket = 0
         if config.design == "server":
             self._post_msg_recvs()
-
-    # -- raw verbs ------------------------------------------------------------
-
-    def _finish_send(self) -> Descriptor:
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(
-                f"{self.name}: {done.dtype.value} failed with "
-                f"{done.status}")
-        return done
-
-    def _cas(self, off: int, compare: int, swap: int) -> int:
-        self.ua.atomic_cmpswap(self.vi, self.reg, self.h_mem,
-                               self.mem_va + off, compare, swap)
-        done = self._finish_send()
-        assert done.atomic_original_value is not None
-        return done.atomic_original_value
-
-    def _fadd(self, off: int, add: int) -> int:
-        self.ua.atomic_fetchadd(self.vi, self.reg, self.h_mem,
-                                self.mem_va + off, add)
-        done = self._finish_send()
-        assert done.atomic_original_value is not None
-        return done.atomic_original_value
-
-    def _read_word(self, off: int) -> int:
-        seg = DataSegment(self.reg.handle, self.reg.va + 8, _WORD)
-        self.ua.post_send(self.vi, Descriptor.rdma_read(
-            [seg], self.h_mem, self.mem_va + off))
-        self._finish_send()
-        return int.from_bytes(self.task.read(self.reg.va + 8, _WORD),
-                              "little")
-
-    def _write_word(self, off: int, value: int) -> None:
-        self.task.write(self.reg.va + 16, value.to_bytes(_WORD, "little"))
-        seg = DataSegment(self.reg.handle, self.reg.va + 16, _WORD)
-        self.ua.post_send(self.vi, Descriptor.rdma_write(
-            [seg], self.h_mem, self.mem_va + off))
-        self._finish_send()
 
     # -- server-design messaging ----------------------------------------------
 
@@ -721,11 +726,14 @@ class _LockServer:
             return
 
 
-class _Janitor:
+class _Janitor(_WordVerbs):
     """Reclaim daemon for the client-bypass designs: its own process on
     m0 with a VI pair into the lock memory, speaking only atomics to the
     atomic words (so the ``atomic-nonatomic-overlap`` check stays quiet)
     and plain RDMA to the ring/grant words."""
+
+    name = "janitor"
+    READ_LANDING = 0
 
     def __init__(self, harness: "DLMHarness") -> None:
         self.harness = harness
@@ -744,45 +752,6 @@ class _Janitor:
         self.mem_va = lockmem.va
         #: declock: lock -> (last serving value, first seen at ns)
         self._serving_seen: dict[int, tuple[int, int]] = {}
-
-    # -- verbs (janitor-side mirrors of the client helpers) -------------------
-
-    def _cas(self, off: int, compare: int, swap: int) -> int:
-        self.ua.atomic_cmpswap(self.vi, self.reg, self.h_mem,
-                               self.mem_va + off, compare, swap)
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(f"janitor: CAS failed with {done.status}")
-        assert done.atomic_original_value is not None
-        return done.atomic_original_value
-
-    def _fadd(self, off: int, add: int) -> int:
-        self.ua.atomic_fetchadd(self.vi, self.reg, self.h_mem,
-                                self.mem_va + off, add)
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(f"janitor: FETCH_ADD failed with {done.status}")
-        assert done.atomic_original_value is not None
-        return done.atomic_original_value
-
-    def _read_word(self, off: int) -> int:
-        seg = DataSegment(self.reg.handle, self.reg.va, _WORD)
-        self.ua.post_send(self.vi, Descriptor.rdma_read(
-            [seg], self.h_mem, self.mem_va + off))
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(f"janitor: read failed with {done.status}")
-        return int.from_bytes(self.task.read(self.reg.va, _WORD), "little")
-
-    def _write_word(self, off: int, value: int) -> None:
-        self.task.write(self.reg.va + 16,
-                        value.to_bytes(_WORD, "little"))
-        seg = DataSegment(self.reg.handle, self.reg.va + 16, _WORD)
-        self.ua.post_send(self.vi, Descriptor.rdma_write(
-            [seg], self.h_mem, self.mem_va + off))
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(f"janitor: write failed with {done.status}")
 
     # -- the sweep ------------------------------------------------------------
 

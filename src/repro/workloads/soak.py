@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.sanitizer import PinSanitizer
+from repro.bench.harness import percentile
 from repro.core.audit import (
     audit_kernel_invariants, audit_pin_leaks, audit_tpt_consistency,
 )
@@ -121,23 +122,15 @@ class SoakReport:
     leaked_pins: int = 0                 #: at final audit (must be 0)
     notes: list[str] = field(default_factory=list)
 
-    @staticmethod
-    def _percentile(values: list[int], q: float) -> int:
-        if not values:
-            return 0
-        ordered = sorted(values)
-        index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-        return int(ordered[index])
-
     def latency_slo(self) -> dict:
         """p50/p90/p99 of sampled registration latency and transfer
         time, in simulated ns — the SLO block BENCH.json publishes."""
         return {
-            "register_p50_ns": self._percentile(self.reg_latency_ns, 0.50),
-            "register_p90_ns": self._percentile(self.reg_latency_ns, 0.90),
-            "register_p99_ns": self._percentile(self.reg_latency_ns, 0.99),
-            "transfer_p50_ns": self._percentile(self.transfer_ns, 0.50),
-            "transfer_p99_ns": self._percentile(self.transfer_ns, 0.99),
+            "register_p50_ns": percentile(self.reg_latency_ns, 0.50),
+            "register_p90_ns": percentile(self.reg_latency_ns, 0.90),
+            "register_p99_ns": percentile(self.reg_latency_ns, 0.99),
+            "transfer_p50_ns": percentile(self.transfer_ns, 0.50),
+            "transfer_p99_ns": percentile(self.transfer_ns, 0.99),
             "register_samples": len(self.reg_latency_ns),
             "transfer_samples": len(self.transfer_ns),
         }

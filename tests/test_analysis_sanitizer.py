@@ -193,12 +193,14 @@ class TestTrail:
         assert "=> " in report and "unpin" in report
 
     def test_trail_is_bounded(self):
-        san = PinSanitizer(trail_maxlen=64, trail_report=8)
-        san.feed([(PIN, dict(frames=(5,), pid=1))] * 200)
+        n = PinSanitizer.TRAIL_MAXLEN      # overflow the ring twice over
+        san = PinSanitizer()
+        san.feed([(PIN, dict(frames=(5,), pid=1))] * n)
         san.feed([(DMA_BEGIN, dict(frames=(5,), op="read"))])
-        san.feed([(UNPIN, dict(frames=(5,), pid=1))] * 200)
+        san.feed([(UNPIN, dict(frames=(5,), pid=1))] * n)
         assert san.violations            # eventually underflows
-        assert len(san.violations[0].trail) <= 8
+        assert len(san._ring) == PinSanitizer.TRAIL_MAXLEN
+        assert len(san.violations[0].trail) == PinSanitizer.TRAIL_REPORT
 
 
 # ------------------------------------------------- strict / suppress / expect

@@ -278,6 +278,36 @@ def run_workload(seed: int) -> dict:
     return cluster.obs.snapshot()
 
 
+class TestRegcacheMetrics:
+    def test_cluster_metrics_sum_over_every_cache(self):
+        # Two endpoints' caches share the cluster's registry; their
+        # counters must add up, not overwrite each other.
+        cluster = Cluster(2, num_frames=1024, backend="kiobuf", seed=0)
+        cluster.obs.enable()
+        s, r = make_pair(cluster)
+        src_a = s.task.mmap(2)
+        s.task.touch_pages(src_a, 2)
+        src_b = s.task.mmap(2)
+        s.task.touch_pages(src_b, 2)
+        dst = r.task.mmap(2)
+        r.task.touch_pages(dst, 2)
+        proto = RendezvousZeroCopyProtocol(use_cache=True)
+        for src in (src_a, src_a, src_b, src_b, src_b):
+            assert proto.transfer(s, r, src, dst, 8192).ok
+        caches = (s.cache, r.cache)
+        assert s.cache.stats.hits != r.cache.stats.hits
+
+        metrics = cluster.obs.snapshot()["metrics"]
+        hits = sum(c.stats.hits for c in caches)
+        misses = sum(c.stats.misses for c in caches)
+        assert metrics["core.regcache.hits"] == hits
+        assert metrics["core.regcache.misses"] == misses
+        assert metrics["core.regcache.hit_rate"]["value"] == \
+            hits / (hits + misses)
+        assert metrics["core.regcache.cached_pages"]["value"] == sum(
+            c.cached_pages for c in caches)
+
+
 class TestEndToEnd:
     def test_instrumented_workload_populates_metrics(self):
         snap = run_workload(seed=0)

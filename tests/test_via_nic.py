@@ -393,3 +393,54 @@ class TestFaultMetrics:
             total = sum(getattr(m.nic, attr) for m in cluster.machines)
             assert cluster.obs.counter(f"via.nic.{attr}").value == total, \
                 attr
+
+    def test_dma_byte_metrics_match_engine_counters(self):
+        # Every DMA entry point moves the engine's byte attributes: the
+        # coalesced gather/scatter paths, the single-span read/write,
+        # and the 8 + 8 bytes of each atomic read-modify-write.
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
+        cluster.obs.enable()
+        sva = ua_s.task.mmap(2)
+        ua_s.task.touch_pages(sva, 2)
+        sreg = ua_s.register_mem(sva, 2 * PAGE_SIZE)
+        tva = ua_r.task.mmap(2)
+        ua_r.task.touch_pages(tva, 2)
+        treg = ua_r.register_mem(tva, 2 * PAGE_SIZE, rdma_write=True,
+                                 rdma_atomic=True)
+        for _ in range(3):
+            desc = Descriptor.rdma_write(
+                [DataSegment(sreg.handle, sva, 2 * PAGE_SIZE)],
+                treg.handle, tva)
+            ua_s.post_send(vi_s, desc)
+            assert desc.status == VIP_SUCCESS
+        assert ua_s.atomic_fetchadd(vi_s, sreg, treg.handle, tva,
+                                    1).status == VIP_SUCCESS
+        dma = ua_r.nic.dma
+        # a plain write must keep off the word the atomic was served on
+        phys = treg.region.frames[1] * PAGE_SIZE
+        dma.write(phys, b"\x11" * 64)
+        assert dma.read(phys, 64) == b"\x11" * 64
+
+        for attr in ("bytes_read", "bytes_written"):
+            total = sum(getattr(m.nic.dma, attr) for m in cluster.machines)
+            assert cluster.obs.counter(f"hw.dma.{attr}").value == total, \
+                attr
+
+    def test_atomic_replays_count_as_dropped_duplicates(self):
+        # A retransmitted atomic answered from the response cache is a
+        # deduplicated retransmit: the metric follows the attribute.
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
+        rva = ua_r.task.mmap(1)
+        ua_r.task.touch_pages(rva, 1)
+        rreg = ua_r.register_mem(rva, PAGE_SIZE, rdma_atomic=True)
+        lva = ua_s.task.mmap(1)
+        lreg = ua_s.register_mem(lva, PAGE_SIZE)
+        cluster.obs.enable()
+        cluster.inject_faults(FaultPlan(seed=5, loss_rate=0.3))
+        for _ in range(40):
+            ua_s.atomic_fetchadd(vi_s, lreg, rreg.handle, rva, 1)
+        replays = sum(m.nic.atomic_replays for m in cluster.machines)
+        dropped = sum(m.nic.duplicates_dropped for m in cluster.machines)
+        assert replays > 0
+        assert cluster.obs.counter(
+            "via.nic.duplicates_dropped").value == dropped
